@@ -22,7 +22,7 @@ print(f"probe node {node}: phi rises {phi_probe[0]:.3f} -> {phi_probe[-1]:.3f} V
 # train on the subthreshold prefix only
 sur = surrogate.fit(dataset.snapshots[:40], mesh.fingerprint())
 print(f"\nsurrogate trained on V_G <= {sur.meta.bias_max:g} V "
-      f"({sur.meta.n_snapshots} snapshots, {sur.weights.shape} weights)")
+      f"({sur.meta.n_snapshots} snapshots, rank {sur.right.shape[0]})")
 
 stats = surrogate.scatter_stats(sur, dataset, mesh.gate_nodes())
 print(f"R^2 over all 101 x {mesh.n_nodes} points: {stats['r2']:.8f}")

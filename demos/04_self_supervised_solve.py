@@ -28,7 +28,7 @@ result = solve_bias(problem, v_gate, SolveOptions(epochs=20000, seed=42))
 print(f"wall time {result.wall_time_s / 60:.1f} min; "
       f"final losses l1={result.history[-1, 2]:.2e} l2={result.history[-1, 3]:.2e}")
 
-oracle_snap = [s for s in dataset.snapshots if abs(s.v_gate - v_gate) < 1e-9][0]
+oracle_snap = dataset.snapshot_at(v_gate)
 report = evaluate_against(result.prediction, oracle_snap, gate_nodes=problem.gate_nodes)
 print(f"extracted gate voltage V_G' = {report.v_gate_extracted:.5f} V")
 print(f"max phi error:   {report.max_phi_err_pct:.4f} % of max |phi|")

@@ -129,18 +129,13 @@ def elu(x):
     return Tensor(out, (x,), lambda g: (g * deriv,))
 
 
-def fixed_affine(x, a_matrix: np.ndarray, c: np.ndarray, a_transpose: np.ndarray | None = None):
-    """y = A @ x + c with a frozen matrix; the backward rule is A^T @ g.
-
-    ``a_transpose`` may supply a contiguous copy of A^T to speed up the
-    backward matvec; it must equal A.T.
-    """
+def fixed_affine(x, a_matrix: np.ndarray, c):
+    """y = A @ x + c with a frozen matrix; the backward rule is A^T @ g."""
     xv = _value(x)
     out = a_matrix @ xv + c
     if not isinstance(x, Tensor):
         return out
-    at = a_transpose if a_transpose is not None else a_matrix.T
-    return Tensor(out, (x,), lambda g: (at @ g,))
+    return Tensor(out, (x,), lambda g: (a_matrix.T @ g,))
 
 
 def scale_shift(x, scale: float, shift: float):
@@ -379,11 +374,6 @@ class GeneratorNet:
         if self.arch == "dense":
             return "dense:" + "-".join(map(str, (1, *self.hidden, self.n_out)))
         return f"conv:{self.channels[0]}x{self.grid_shape[0]}x{self.grid_shape[1]}-{self.channels[1]}"
-
-
-def forward(net: GeneratorNet, v_scaled: float) -> Tensor:
-    """Module-level alias of ``GeneratorNet.forward``."""
-    return net.forward(v_scaled)
 
 
 # ---------------------------------------------------------------------------

@@ -139,8 +139,6 @@ def cmd_fit_lr(args) -> int:
 def _load_problem(args):
     mesh = build_device_mesh(_device_config(args))
     sur = dataset_io.read_model(args.surrogate)
-    if not isinstance(sur, surrogate.LinearSurrogate):
-        raise ConfigError(f"{args.surrogate} does not contain a surrogate model")
     params = fermi.default_params()
     return pinn.PinnProblem(
         mesh=mesh, surrogate=sur, params=params,
@@ -179,12 +177,12 @@ def cmd_solve(args) -> int:
           f"final losses l1={result.history[-1,2]:.3e} l2={result.history[-1,3]:.3e}")
 
     if oracle_ds is not None:
-        matches = [s for s in oracle_ds.snapshots if abs(s.v_gate - args.vg) < 1e-9]
-        if matches:
+        oracle_snap = oracle_ds.snapshot_at(args.vg)
+        if oracle_snap is not None:
             snaps = dict(result.checkpoints) if study else {result.epochs: result.prediction}
             for epoch_count, snap in sorted(snaps.items()):
                 report = pinn.evaluate_against(
-                    snap, matches[0], gate_nodes=problem.gate_nodes, epochs=epoch_count,
+                    snap, oracle_snap, gate_nodes=problem.gate_nodes, epochs=epoch_count,
                     losses=pinn.best_losses_within(result.history, epoch_count),
                 )
                 suffix = f"_report_{epoch_count}.txt" if study else "_report.txt"
@@ -235,9 +233,8 @@ def cmd_sweep(args) -> int:
         print(f"V_G={biases[idx]:g} V: max phi err {report.max_phi_err_pct:.4f}%, "
               f"max log-n err {report.max_logn_err_pct:.4f}%")
     if oracle_ds is not None:
-        by_bias = {round(s.v_gate, 9): s for s in oracle_ds.snapshots}
         for idx, pred in enumerate(result.predictions):
-            snap = by_bias.get(round(biases[idx], 9))
+            snap = oracle_ds.snapshot_at(biases[idx])
             if pred is None or snap is None:
                 continue
             rows_truth.append(np.stack([snap.phi, snap.n]))

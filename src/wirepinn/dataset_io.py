@@ -2,9 +2,10 @@
 
 Text formats for anything a person might want to inspect (sweep datasets,
 reports, loss histories, CSV figure data), one versioned binary container
-for matrices.  All floats are written with round-trip-exact rendering and
-all files are written atomically (temp file + rename), so readers never
-observe partial output and write/read cycles compare bitwise.
+for the surrogate's factor matrices.  All floats are written with
+round-trip-exact rendering and all files are written atomically (temp
+file + rename), so readers never observe partial output and write/read
+cycles compare bitwise.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import tempfile
 
 import numpy as np
 
-from . import autodiff as ad
 from . import fermi
 from .mesh import CONTACT_NAMES, Q_COULOMB, REGION_NAMES, SILICON, TensorMesh
 from .oracle import Snapshot, SweepDataset
@@ -39,7 +39,7 @@ __all__ = [
 SWEEP_HEADER = "# wirepinn sweep v1"
 REPORT_HEADER = "# wirepinn report v1"
 MODEL_MAGIC = b"WPNN"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 _REGION_BY_NAME = {v: k for k, v in REGION_NAMES.items()}
 
@@ -251,7 +251,10 @@ def _read_container(path):
         raise ModelFormatError(f"{path}: bad magic, not a wirepinn model file")
     (version,) = reader.unpack("<I")
     if version != MODEL_VERSION:
-        raise ModelFormatError(f"{path}: unsupported container version {version}")
+        raise ModelFormatError(
+            f"{path}: unsupported container version {version}; this release reads version "
+            f"{MODEL_VERSION}, so re-run `wirepinn fit-lr` to rewrite the surrogate"
+        )
     kind = reader.string()
     (meta_len,) = reader.unpack("<I")
     meta = json.loads(reader.take(meta_len).decode())
@@ -270,69 +273,42 @@ def _read_container(path):
 
 
 def write_model(obj, path) -> None:
-    """Serialize a LinearSurrogate or GeneratorNet to the binary container."""
-    if isinstance(obj, LinearSurrogate):
-        meta = {
-            "n_snapshots": obj.meta.n_snapshots,
-            "bias_min": obj.meta.bias_min,
-            "bias_max": obj.meta.bias_max,
-            "mesh_fingerprint": obj.meta.mesh_fingerprint,
-            "rcond": obj.meta.rcond,
-            "ridge": obj.meta.ridge,
-            "density_offset": obj.meta.density_offset,
-            "density_scale": obj.meta.density_scale,
-        }
-        _write_container(path, "surrogate",
-                         [("weights", obj.weights), ("intercept", obj.intercept)], meta)
-    elif isinstance(obj, ad.GeneratorNet):
-        meta = {
-            "arch": obj.arch,
-            "arch_string": obj.arch_string(),
-            "n_out": obj.n_out,
-            "hidden": list(obj.hidden),
-            "grid_shape": list(obj.grid_shape),
-            "channels": list(obj.channels),
-            "seed": obj.seed,
-        }
-        arrays = [(f"param{i}", p.value) for i, p in enumerate(obj.params)]
-        _write_container(path, "generator", arrays, meta)
-    else:
+    """Serialize a LinearSurrogate to the binary container."""
+    if not isinstance(obj, LinearSurrogate):
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+    meta = {
+        "n_snapshots": obj.meta.n_snapshots,
+        "bias_min": obj.meta.bias_min,
+        "bias_max": obj.meta.bias_max,
+        "mesh_fingerprint": obj.meta.mesh_fingerprint,
+        "rcond": obj.meta.rcond,
+        "density_offset": obj.meta.density_offset,
+        "density_scale": obj.meta.density_scale,
+    }
+    _write_container(path, "surrogate",
+                     [("left", obj.left), ("right", obj.right), ("intercept", obj.intercept)], meta)
 
 
-def read_model(path):
-    """Load a model container back into its object."""
+def read_model(path) -> LinearSurrogate:
+    """Load a surrogate container back into its object."""
     kind, arrays, meta = _read_container(path)
-    if kind == "surrogate":
-        named = dict(arrays)
-        return LinearSurrogate(
-            weights=named["weights"],
-            intercept=named["intercept"],
-            meta=SurrogateMeta(
-                n_snapshots=int(meta["n_snapshots"]),
-                bias_min=float(meta["bias_min"]),
-                bias_max=float(meta["bias_max"]),
-                mesh_fingerprint=meta["mesh_fingerprint"],
-                rcond=float(meta["rcond"]),
-                ridge=float(meta["ridge"]),
-                density_offset=float(meta["density_offset"]),
-                density_scale=float(meta["density_scale"]),
-            ),
-        )
-    if kind == "generator":
-        net = ad.GeneratorNet(
-            arch=meta["arch"], n_out=int(meta["n_out"]), hidden=tuple(meta["hidden"]),
-            grid_shape=tuple(meta["grid_shape"]), channels=tuple(meta["channels"]),
-            seed=int(meta["seed"]),
-        )
-        if len(arrays) != len(net.params):
-            raise ModelFormatError(f"{path}: expected {len(net.params)} parameter arrays")
-        for p, (_, arr) in zip(net.params, arrays):
-            if p.value.shape != arr.shape:
-                raise ModelFormatError(f"{path}: parameter shape mismatch {arr.shape}")
-            p.value = arr
-        return net
-    raise ModelFormatError(f"{path}: unknown model kind {kind!r}")
+    if kind != "surrogate":
+        raise ModelFormatError(f"{path}: unknown model kind {kind!r}")
+    named = dict(arrays)
+    return LinearSurrogate(
+        left=named["left"],
+        right=named["right"],
+        intercept=named["intercept"],
+        meta=SurrogateMeta(
+            n_snapshots=int(meta["n_snapshots"]),
+            bias_min=float(meta["bias_min"]),
+            bias_max=float(meta["bias_max"]),
+            mesh_fingerprint=meta["mesh_fingerprint"],
+            rcond=float(meta["rcond"]),
+            density_offset=float(meta["density_offset"]),
+            density_scale=float(meta["density_scale"]),
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------

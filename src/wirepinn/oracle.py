@@ -47,6 +47,10 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+# Two biases closer than this are the same bias point: far below any ramp
+# step, far above the rounding of a bias parsed from text.
+BIAS_MATCH_TOL = 1e-9
+
 
 class ConvergenceError(RuntimeError):
     """Newton iteration failed; carries the last residual norm."""
@@ -89,6 +93,13 @@ class SweepDataset:
 
     def __len__(self) -> int:
         return len(self.snapshots)
+
+    def snapshot_at(self, v_gate: float) -> Snapshot | None:
+        """The snapshot at bias ``v_gate`` (within BIAS_MATCH_TOL), or None."""
+        for snap in self.snapshots:
+            if abs(snap.v_gate - v_gate) < BIAS_MATCH_TOL:
+                return snap
+        return None
 
 
 @dataclass

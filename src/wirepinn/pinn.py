@@ -14,8 +14,8 @@ below the normalization scale as zero.
 
 from __future__ import annotations
 
+import contextlib
 import logging
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -25,7 +25,7 @@ from . import autodiff as ad
 from . import fermi
 from .mesh import Q_COULOMB, TensorMesh, nearest_node
 from .oracle import Snapshot, SweepDataset
-from .surrogate import DENSITY_OFFSET, DENSITY_SCALE, LinearSurrogate, predict_phi
+from .surrogate import DENSITY_OFFSET, DENSITY_SCALE, LinearSurrogate, denormalize_density, predict_phi
 
 __all__ = [
     "DivergedError",
@@ -59,6 +59,10 @@ class DivergedError(RuntimeError):
         super().__init__(message)
         self.step = step
         self.history = history
+
+    def __reduce__(self):
+        # a sweep worker's error crosses a process boundary by pickle
+        return type(self), (str(self), self.step, self.history)
 
 
 @dataclass
@@ -95,50 +99,11 @@ class PinnProblem:
         self.oxide_nodes = np.flatnonzero(~self.mesh.silicon_mask())
         if len(self.gate_nodes) == 0:
             raise ValueError("mesh has no gate contact nodes")
-        self._silicon_mask = self.mesh.silicon_mask()
-        self._factorize_surrogate()
-
-    def _factorize_surrogate(self) -> None:
-        """Capture the surrogate's low-rank range for cheap training matvecs.
-
-        The fitted weight matrix has rank at most n_snapshots - 1, so
-        W = Q (Q^T W) holds to rounding once Q spans its range; a seeded
-        randomized range finder gets Q in two thin matmuls.  Training then
-        costs two skinny matvecs per pass instead of a full n^2 one.
-        Falls back to the dense matrix if the capture is not exact.
-        """
-        w = self.surrogate.weights
-        n = w.shape[0]
-        r = min(n, max(64, self.surrogate.meta.n_snapshots + 24))
-        self._factors = None
-        if r >= n:
-            self._weights_t = np.ascontiguousarray(w.T)
-            return
-        rng = np.random.default_rng(0)
-        sample = w @ rng.standard_normal((n, r))
-        q, _ = np.linalg.qr(sample)
-        b = q.T @ w
-        x = rng.standard_normal((n, 3))
-        ref = w @ x
-        err = np.linalg.norm(ref - q @ (b @ x)) / max(np.linalg.norm(ref), 1e-300)
-        if err < 1e-10:
-            self._factors = (
-                np.ascontiguousarray(q), np.ascontiguousarray(b),
-                np.ascontiguousarray(q.T), np.ascontiguousarray(b.T),
-            )
-            self._weights_t = None
-        else:  # pragma: no cover - only for hand-built full-rank matrices
-            logger.warning("surrogate range capture missed (err %.2e); using dense matvecs", err)
-            self._weights_t = np.ascontiguousarray(w.T)
 
     def surrogate_phi(self, n_tilde):
-        """phi = W @ n_tilde + b as a tape op (factored when possible)."""
-        if self._factors is not None:
-            q, b, qt, bt = self._factors
-            inner = ad.fixed_affine(n_tilde, b, 0.0, a_transpose=bt)
-            return ad.fixed_affine(inner, q, self.surrogate.intercept, a_transpose=qt)
-        return ad.fixed_affine(n_tilde, self.surrogate.weights,
-                               self.surrogate.intercept, a_transpose=self._weights_t)
+        """phi = left @ (right @ n_tilde) + b as two tape ops."""
+        sur = self.surrogate
+        return ad.fixed_affine(ad.fixed_affine(n_tilde, sur.right, 0.0), sur.left, sur.intercept)
 
     def build_losses(self, net: "ad.GeneratorNet", v_gate: float):
         """The exact training graph: (loss_boundary, loss_fd, total)."""
@@ -210,11 +175,6 @@ def postprocess(raw):
     return ad.scale_shift(raw, 1.0, POSTPROCESS_SHIFT)
 
 
-def density_from_normalized(n_tilde: np.ndarray) -> np.ndarray:
-    """Physical density n = n_tilde * 1e19 - 1e10 (inverse of normalize)."""
-    return np.asarray(n_tilde) * DENSITY_SCALE - DENSITY_OFFSET
-
-
 def gate_voltage(phi, gate_nodes: np.ndarray) -> float:
     """Extracted gate bias: mean potential over the gate contact nodes."""
     if len(gate_nodes) == 0:
@@ -245,7 +205,7 @@ def loss_fd(n_tilde, phi, params: fermi.SemiconductorParams, mesh: TensorMesh):
 def _prediction_snapshot(problem: PinnProblem, n_tilde: np.ndarray, v_gate: float,
                          converged: bool) -> Snapshot:
     phi = predict_phi(problem.surrogate, n_tilde)
-    n = density_from_normalized(n_tilde)
+    n = denormalize_density(n_tilde)
     charge = Q_COULOMB * (problem.mesh.net_doping - n)
     return Snapshot(v_gate=float(v_gate), phi=phi, n=n, net_charge=charge,
                     converged=converged, residual_norm=float("nan"))
@@ -410,14 +370,14 @@ _WORKER_CTX = {}
 
 def _sweep_worker(args):
     idx, v_gate = args
-    problem = _WORKER_CTX["problem"]
-    opts = _WORKER_CTX["opts"]
     try:
         from threadpoolctl import threadpool_limits
-        with threadpool_limits(limits=1):
-            result = solve_bias(problem, v_gate, opts)
+        limits = threadpool_limits(limits=1)
     except ImportError:  # pragma: no cover - threadpoolctl ships with sklearn
-        result = solve_bias(problem, v_gate, opts)
+        limits = contextlib.nullcontext()
+    try:
+        with limits:
+            result = solve_bias(_WORKER_CTX["problem"], v_gate, _WORKER_CTX["opts"])
     except DivergedError as exc:
         return idx, None, str(exc)
     return idx, result, None
@@ -460,10 +420,6 @@ def sweep_solve(problem: PinnProblem, biases, oracle: SweepDataset | None = None
                 failures[idx] = str(exc)
 
     probe_node = nearest_node(problem.mesh, *probe_xy)
-    oracle_by_bias = {}
-    if oracle is not None:
-        for snap in oracle.snapshots:
-            oracle_by_bias[round(snap.v_gate, 9)] = snap
 
     reports: list = [None] * len(biases)
     predictions: list = [None] * len(biases)
@@ -472,7 +428,7 @@ def sweep_solve(problem: PinnProblem, biases, oracle: SweepDataset | None = None
         if res is None:
             continue
         predictions[idx] = res.prediction
-        snap = oracle_by_bias.get(round(float(biases[idx]), 9))
+        snap = oracle.snapshot_at(biases[idx]) if oracle is not None else None
         if snap is not None:
             reports[idx] = evaluate_against(
                 res.prediction, snap, gate_nodes=problem.gate_nodes,

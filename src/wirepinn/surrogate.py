@@ -50,43 +50,44 @@ class SurrogateMeta:
     bias_max: float
     mesh_fingerprint: str
     rcond: float
-    ridge: float
     density_offset: float = DENSITY_OFFSET
     density_scale: float = DENSITY_SCALE
 
 
 @dataclass(frozen=True)
 class LinearSurrogate:
-    """phi = weights @ n_tilde + intercept, with training provenance."""
+    """phi = left @ (right @ n_tilde) + intercept, with training provenance.
 
-    weights: np.ndarray    # (n_nodes, n_nodes), output x input
+    ``left`` and ``right`` are the factors of the fit's SVD; their inner
+    dimension is the kept rank, at most n_snapshots - 1.
+    """
+
+    left: np.ndarray       # (n_nodes, rank)
+    right: np.ndarray      # (rank, n_nodes)
     intercept: np.ndarray  # (n_nodes,)
     meta: SurrogateMeta
 
     def __post_init__(self):
         n = len(self.intercept)
-        if self.weights.shape != (n, n):
-            raise ValueError(f"weights shape {self.weights.shape} does not match intercept ({n},)")
-        if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.intercept))):
-            raise ValueError("surrogate entries must be finite")
-        self.weights.flags.writeable = False
-        self.intercept.flags.writeable = False
+        if self.left.ndim != 2 or self.left.shape[0] != n or self.right.shape != (self.left.shape[1], n):
+            raise ValueError(
+                f"factor shapes {self.left.shape} and {self.right.shape} do not match intercept ({n},)"
+            )
+        for arr in (self.left, self.right, self.intercept):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError("surrogate entries must be finite")
+            arr.flags.writeable = False
 
 
-def fit(
-    snapshots,
-    mesh_fingerprint: str = "",
-    rcond: float = 1e-12,
-    ridge: float = 0.0,
-) -> LinearSurrogate:
+def fit(snapshots, mesh_fingerprint: str = "", rcond: float = 1e-12) -> LinearSurrogate:
     """Least-squares fit of potential profiles against normalized densities.
 
     ``snapshots`` is the training slice (typically the first 40 of a
     sweep).  The fit centers both sides, computes the minimum-norm
-    solution through an SVD with relative cutoff ``rcond`` (optionally
-    Tikhonov-damped by ``ridge``), and absorbs the static donor/boundary
-    contribution into the intercept.  Raises ValueError on empty input or
-    mismatched field lengths.
+    solution through an SVD with relative cutoff ``rcond``, keeps it as
+    the factors Yc^T U diag(1/s) and V^T, and absorbs the static
+    donor/boundary contribution into the intercept.  Raises ValueError on
+    empty input or mismatched field lengths.
     """
     if len(snapshots) == 0:
         raise ValueError("cannot fit a surrogate on zero snapshots")
@@ -104,16 +105,11 @@ def fit(
     y_mean = y.mean(axis=0)
 
     u, s, vt = np.linalg.svd(x - x_mean, full_matrices=False)
-    keep = s > rcond * s[0] if s[0] > 0 else np.zeros_like(s, dtype=bool)
+    keep = s > rcond * s[0]  # none kept when s[0] == 0
     logger.info("surrogate fit: %d snapshots, rank %d kept of %d", len(snapshots), keep.sum(), len(s))
-    if keep.any():
-        s_kept = s[keep]
-        gain = s_kept / (s_kept**2 + ridge) if ridge > 0.0 else 1.0 / s_kept
-        # weights = Yc^T U diag(gain) V^T, assembled right-to-left
-        weights = ((y - y_mean).T @ u[:, keep] * gain) @ vt[keep]
-    else:
-        weights = np.zeros((n_nodes, n_nodes))
-    intercept = y_mean - weights @ x_mean
+    left = (y - y_mean).T @ u[:, keep] / s[keep]
+    right = vt[keep]
+    intercept = y_mean - left @ (right @ x_mean)
 
     biases = [float(s.v_gate) for s in snapshots]
     meta = SurrogateMeta(
@@ -122,20 +118,20 @@ def fit(
         bias_max=max(biases),
         mesh_fingerprint=mesh_fingerprint,
         rcond=rcond,
-        ridge=ridge,
     )
-    return LinearSurrogate(weights=weights, intercept=intercept, meta=meta)
+    return LinearSurrogate(left=left, right=right, intercept=intercept, meta=meta)
 
 
 def predict_phi(surrogate: LinearSurrogate, n_tilde: np.ndarray) -> np.ndarray:
-    """phi = W @ n_tilde + b.  The adjoint of this exact linear map is W^T,
-    which is what backpropagation through the frozen surrogate uses."""
+    """phi = left @ (right @ n_tilde) + b.  The adjoint of this exact
+    linear map is right^T left^T, which is what backpropagation through
+    the frozen surrogate uses."""
     n_tilde = np.asarray(n_tilde, dtype=float)
     if n_tilde.shape != surrogate.intercept.shape:
         raise ValueError(
             f"n_tilde has shape {n_tilde.shape}, surrogate expects {surrogate.intercept.shape}"
         )
-    return surrogate.weights @ n_tilde + surrogate.intercept
+    return surrogate.left @ (surrogate.right @ n_tilde) + surrogate.intercept
 
 
 def scatter_stats(surrogate: LinearSurrogate, dataset, gate_nodes=None) -> dict:

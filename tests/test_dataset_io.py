@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from wirepinn import autodiff as ad
 from wirepinn import dataset_io as dio
-from wirepinn import pinn
+from wirepinn import pinn, surrogate
 from wirepinn.mesh import DeviceConfig, build_device_mesh
 from wirepinn.oracle import SweepDataset, ramp_sweep
 
@@ -82,30 +81,25 @@ class TestSweepFiles:
 
 
 class TestModelContainer:
-    def test_surrogate_round_trip(self, lr_surrogate, tmp_path):
-        path = tmp_path / "sur.wpnn"
-        dio.write_model(lr_surrogate, path)
-        loaded = dio.read_model(path)
-        assert np.array_equal(loaded.weights, lr_surrogate.weights)
-        assert np.array_equal(loaded.intercept, lr_surrogate.intercept)
-        assert loaded.meta == lr_surrogate.meta
+    def test_surrogate_round_trip(self, lr_surrogate, oracle_sweep, default_mesh, tmp_path):
+        rank0 = surrogate.fit(oracle_sweep.snapshots[:1], default_mesh.fingerprint())
+        assert rank0.right.shape[0] == 0
+        for sur in (lr_surrogate, rank0):
+            path = tmp_path / "sur.wpnn"
+            dio.write_model(sur, path)
+            loaded = dio.read_model(path)
+            assert np.array_equal(loaded.left, sur.left)
+            assert np.array_equal(loaded.right, sur.right)
+            assert np.array_equal(loaded.intercept, sur.intercept)
+            assert loaded.meta == sur.meta
 
     def test_surrogate_payload_size(self, lr_surrogate, tmp_path):
         path = tmp_path / "sur.wpnn"
         dio.write_model(lr_surrogate, path)
-        n = len(lr_surrogate.intercept)
-        payload = (n * n + n) * 8
+        n, k = lr_surrogate.left.shape
+        payload = (2 * n * k + n) * 8
         assert path.stat().st_size > payload
         assert path.stat().st_size < payload + 4096  # header/metadata only
-
-    def test_generator_round_trip(self, tmp_path):
-        net = ad.GeneratorNet(n_out=60, hidden=(4, 8), seed=17)
-        path = tmp_path / "gen.wpnn"
-        dio.write_model(net, path)
-        loaded = dio.read_model(path)
-        assert loaded.arch_string() == net.arch_string()
-        assert all(np.array_equal(a.value, b.value) for a, b in zip(loaded.params, net.params))
-        assert np.array_equal(loaded.forward(0.5).value, net.forward(0.5).value)
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.wpnn"
@@ -117,10 +111,11 @@ class TestModelContainer:
         path = tmp_path / "sur.wpnn"
         dio.write_model(lr_surrogate, path)
         blob = bytearray(path.read_bytes())
-        blob[4] = 99
-        path.write_bytes(bytes(blob))
-        with pytest.raises(dio.ModelFormatError, match="version"):
-            dio.read_model(path)
+        for version in (99, 1):  # 1: the dense-matrix container of earlier releases
+            blob[4] = version
+            path.write_bytes(bytes(blob))
+            with pytest.raises(dio.ModelFormatError, match=f"version {version};.*fit-lr"):
+                dio.read_model(path)
 
     def test_truncated_container(self, lr_surrogate, tmp_path):
         path = tmp_path / "sur.wpnn"

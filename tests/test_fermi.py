@@ -37,7 +37,7 @@ class TestApprox:
         assert value == pytest.approx(fermi.fermi_half_quadrature(20.0), rel=5e-3)
 
     def test_accuracy_class_on_grid(self):
-        # coarse here; the dense 0.01 grid runs in the acceptance suite
+        # coarse here; `wirepinn check` compares on a 0.05 grid
         grid = np.arange(-30.0, 50.001, 0.5)
         approx = fermi.fermi_half_approx(grid)
         quad = np.array([fermi.fermi_half_quadrature(e) for e in grid])

@@ -86,6 +86,13 @@ class TestRampSweep:
     def test_biases_strictly_increasing(self, oracle_sweep):
         assert np.all(np.diff(oracle_sweep.biases) > 0)
 
+    def test_snapshot_at(self, oracle_sweep):
+        grid = oracle_sweep.snapshots[50]
+        assert oracle_sweep.snapshot_at(0.375) is grid                # hit
+        assert oracle_sweep.snapshot_at(0.9) is None                  # beyond the ramp
+        assert oracle_sweep.snapshot_at(grid.v_gate + 1e-12) is grid  # rounding from text
+        assert oracle_sweep.snapshot_at(grid.v_gate + 1e-6) is None   # near, but another bias
+
 
 class TestResidualCheck:
     def test_perturbation_increases_residual(self, default_mesh, default_coeffs, params, oracle_sweep):

@@ -65,10 +65,6 @@ class TestFit:
         x = normalize_density(oracle_sweep.snapshots[0].n)
         assert np.max(np.abs(predict_phi(sur, x) - oracle_sweep.snapshots[0].phi)) <= 1e-9
 
-    def test_ridge_option_runs(self, oracle_sweep):
-        sur = fit(oracle_sweep.snapshots[:40], ridge=1e-10)
-        assert np.all(np.isfinite(sur.weights))
-
 
 class TestPredict:
     def test_affine_superposition_identity(self, oracle_sweep, lr_surrogate, rng):
