@@ -100,22 +100,24 @@ def backward(loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 # primitives
 
-def dense(x, w: Tensor, b: Tensor):
-    """y = W @ x + b with parameter tensors W (out, in) and b (out,)."""
+def dense(x, w: Tensor, b: Tensor, grad_w: np.ndarray | None = None):
+    """y = W @ x + b with parameter tensors W (out, in) and b (out,).
+
+    The weight gradient is written into ``grad_w`` (shape of W) when one is
+    given, else into a fresh array.  ``grad_w`` is reused, not copied: after
+    ``backward``, ``w.grad`` is that buffer, and the next ``backward``
+    through a layer built with the same buffer overwrites it.
+    """
     xv = _value(x)
     out = w.value @ xv + b.value
+
+    def outer(g):
+        # bitwise equal to np.outer(g, xv)
+        return np.multiply(g[:, None], xv[None, :], out=grad_w)
+
     if not isinstance(x, Tensor):
-        x_const = xv
-
-        def vjp_const(g):
-            return np.outer(g, x_const), g
-
-        return Tensor(out, (w, b), vjp_const)
-
-    def vjp(g):
-        return w.value.T @ g, np.outer(g, x.value), g
-
-    return Tensor(out, (x, w, b), vjp)
+        return Tensor(out, (w, b), lambda g: (outer(g), g))
+    return Tensor(out, (x, w, b), lambda g: (w.value.T @ g, outer(g), g))
 
 
 def elu(x):
@@ -342,11 +344,14 @@ class GeneratorNet:
         rng = np.random.default_rng(seed)
         self.seed = seed
         self.params = []
+        self._grad_w = []  # one weight-gradient buffer per dense layer
         for w_shape, b_shape in self._shapes():
             fan_in = int(np.prod(w_shape[1:]))
             bound = 1.0 / math.sqrt(fan_in)
             self.params.append(Tensor(rng.uniform(-bound, bound, size=w_shape)))
             self.params.append(Tensor(np.zeros(b_shape)))
+            if len(w_shape) == 2:
+                self._grad_w.append(np.empty(w_shape))
         return self.params
 
     def forward(self, v_scaled: float) -> Tensor:
@@ -355,12 +360,12 @@ class GeneratorNet:
         if self.arch == "dense":
             t = x
             for i in range(0, len(self.params), 2):
-                t = elu(dense(t, self.params[i], self.params[i + 1]))
+                t = elu(dense(t, self.params[i], self.params[i + 1], self._grad_w[i // 2]))
             return t
         w0, b0, w1, b1, w2, b2 = self.params
         c1, _ = self.channels
         h, w = self.grid_shape
-        t = elu(dense(x, w0, b0))
+        t = elu(dense(x, w0, b0, self._grad_w[0]))
         t = reshape(t, (c1, h, w))
         t = elu(conv2d_same(t, w1, b1))
         t = elu(conv2d_same(t, w2, b2))
@@ -379,8 +384,13 @@ class GeneratorNet:
 # ---------------------------------------------------------------------------
 # optimizer and schedule
 
+# Elements per Adam block: the six block slices (p, g, m, v and two
+# scratch) take 256 KB each, so a block's 1.5 MB stays in a core's L2.
+_ADAM_BLOCK = 32768
+
+
 class AdamState:
-    """Adam moments plus the current learning rate."""
+    """Adam moments, the current learning rate and the update's scratch."""
 
     def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -391,28 +401,34 @@ class AdamState:
         self.eps = eps
         self.m = [np.zeros_like(p.value) for p in params]
         self.v = [np.zeros_like(p.value) for p in params]
+        size = min(_ADAM_BLOCK, max((p.value.size for p in params), default=0))
+        self._scratch = (np.empty(size), np.empty(size))
 
 
-try:  # single fused pass; the update is the training loop's main memory cost
-    from numba import njit
+def _adam_kernel(p, g, m, v, b1, b2, eps, step_scale, inv_c2, scratch):
+    """Kingma & Ba's update on flat arrays, block by block, without temporaries.
 
-    @njit(cache=True)
-    def _adam_kernel(p, g, m, v, b1, b2, eps, step_scale, inv_c2):
-        for i in range(p.size):
-            gi = g[i]
-            mi = b1 * m[i] + (1.0 - b1) * gi
-            vi = b2 * v[i] + (1.0 - b2) * gi * gi
-            m[i] = mi
-            v[i] = vi
-            p[i] -= step_scale * mi / (np.sqrt(vi * inv_c2) + eps)
-
-except ImportError:  # pragma: no cover - numba is an optional accelerator
-    def _adam_kernel(p, g, m, v, b1, b2, eps, step_scale, inv_c2):
-        np.multiply(m, b1, out=m)
-        m += (1.0 - b1) * g
-        np.multiply(v, b2, out=v)
-        v += (1.0 - b2) * g * g
-        p -= step_scale * m / (np.sqrt(v * inv_c2) + eps)
+    Rounds exactly like m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+    p -= step_scale*m / (sqrt(v*inv_c2) + eps).
+    """
+    s1, s2 = scratch
+    for lo in range(0, p.size, _ADAM_BLOCK):
+        hi = min(lo + _ADAM_BLOCK, p.size)
+        pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+        a, b = s1[:hi - lo], s2[:hi - lo]
+        np.multiply(mb, b1, out=mb)
+        np.multiply(gb, 1.0 - b1, out=a)
+        np.add(mb, a, out=mb)
+        np.multiply(vb, b2, out=vb)
+        np.multiply(gb, 1.0 - b2, out=a)
+        np.multiply(a, gb, out=a)
+        np.add(vb, a, out=vb)
+        np.multiply(vb, inv_c2, out=a)
+        np.sqrt(a, out=a)
+        np.add(a, eps, out=a)
+        np.multiply(mb, step_scale, out=b)
+        np.divide(b, a, out=b)
+        np.subtract(pb, b, out=pb)
 
 
 def adam_step(state: AdamState, params, grads) -> None:
@@ -429,7 +445,8 @@ def adam_step(state: AdamState, params, grads) -> None:
         if gv.shape != p.value.shape:
             raise ValueError(f"gradient shape {gv.shape} does not match parameter {p.value.shape}")
         _adam_kernel(p.value.reshape(-1), np.ascontiguousarray(gv).reshape(-1),
-                     m.reshape(-1), v.reshape(-1), b1, b2, state.eps, step_scale, inv_c2)
+                     m.reshape(-1), v.reshape(-1), b1, b2, state.eps, step_scale, inv_c2,
+                     state._scratch)
 
 
 class PlateauScheduler:

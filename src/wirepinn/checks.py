@@ -86,7 +86,7 @@ def _check_gradients(fast: bool):
     sur = sur_mod.fit(ds.snapshots, mesh.fingerprint())
     problem = pinn.PinnProblem(mesh=mesh, surrogate=sur, params=params)
     net = ad.GeneratorNet(n_out=mesh.n_nodes, hidden=(8, 16), seed=11)
-    _, _, total = problem.build_losses(net, 0.5)
+    _, _, total, _ = problem.build_losses(net, 0.5)
     ad.backward(total)
     rng = np.random.default_rng(5)
     worst = 0.0

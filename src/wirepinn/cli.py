@@ -163,8 +163,9 @@ def cmd_solve(args) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     prefix = os.path.join(args.out, f"vg{args.vg:g}")
+    opts = _solve_options(args, checkpoints=study)
     try:
-        result = pinn.solve_bias(problem, args.vg, _solve_options(args, checkpoints=study))
+        result = pinn.solve_bias(problem, args.vg, opts)
     except pinn.DivergedError as exc:
         if exc.history is not None and len(exc.history):
             dataset_io.write_loss_history(exc.history, prefix + "_loss_history.csv")
@@ -195,7 +196,8 @@ def cmd_solve(args) -> int:
     _maybe_svg(args, prefix + "_loss_history.svg",
                [result.history[:, 0], result.history[:, 4]], ["step", "total loss"], logy=True)
     if not result.prediction.converged:
-        logger.warning("final total loss %.3e above the accept threshold", result.history[-1, 4])
+        logger.warning("best total loss %.3e above the accept_loss bound %.1e",
+                       result.best_loss, opts.accept_loss)
     return EXIT_OK
 
 

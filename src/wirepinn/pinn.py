@@ -106,14 +106,14 @@ class PinnProblem:
         return ad.fixed_affine(ad.fixed_affine(n_tilde, sur.right, 0.0), sur.left, sur.intercept)
 
     def build_losses(self, net: "ad.GeneratorNet", v_gate: float):
-        """The exact training graph: (loss_boundary, loss_fd, total)."""
+        """The exact training graph: (loss_boundary, loss_fd, total, n_tilde)."""
         raw = net.forward(v_gate / V_GATE_SCALE)
         n_tilde = postprocess(raw)
         phi = self.surrogate_phi(n_tilde)
         l1 = loss_boundary(phi, v_gate, self.gate_nodes)
         l2 = loss_fd(n_tilde, phi, self.params, self.mesh)
         total = ad.add_weighted(l1, self.w_boundary, l2, self.w_fd)
-        return l1, l2, total
+        return l1, l2, total, n_tilde
 
 
 @dataclass
@@ -225,7 +225,7 @@ def solve_bias(problem: PinnProblem, v_gate: float, opts: SolveOptions | None = 
     """
     opts = opts or SolveOptions()
     if not (-0.01 <= v_gate <= 1.0):
-        raise ValueError(f"v_gate {v_gate} outside the sane [0, 1] V range")
+        raise ValueError(f"v_gate {v_gate} outside the sane [-0.01, 1] V range")
     epochs = opts.epochs if opts.epochs is not None else problem.epochs
     seed = opts.seed if opts.seed is not None else problem.seed
     if epochs < 1:
@@ -239,31 +239,26 @@ def solve_bias(problem: PinnProblem, v_gate: float, opts: SolveOptions | None = 
     sched = ad.PlateauScheduler(lr=opts.lr, factor=opts.lr_factor, patience=opts.lr_patience,
                                 threshold=opts.lr_threshold, min_lr=opts.lr_min)
 
-    v_in = v_gate / V_GATE_SCALE
     want_checkpoint = set(int(c) for c in opts.checkpoints)
 
-    # The run keeps the best-loss parameter state: Adam occasionally takes
-    # a transient excursion, and the trained state for a given epoch
-    # budget should not depend on whether the budget ends mid-excursion.
+    # The run keeps the best-loss state: Adam occasionally takes a
+    # transient excursion, and the trained state for a given epoch budget
+    # should not depend on whether the budget ends mid-excursion.  The
+    # prediction depends on the parameters only through the generator's
+    # output, so that output is all that is kept.
     best_loss = np.inf
     best_losses = (np.nan, np.nan, np.nan)
-    best_params = [np.empty_like(p.value) for p in net.params]
+    best_n_tilde = np.empty(problem.mesh.n_nodes)
 
     def best_prediction(converged):
-        live = [p.value for p in net.params]
-        for p, b in zip(net.params, best_params):
-            p.value = b
-        n_pred = postprocess(net.forward(v_in).value)
-        for p, v in zip(net.params, live):
-            p.value = v
-        return _prediction_snapshot(problem, n_pred, v_gate, converged)
+        return _prediction_snapshot(problem, best_n_tilde, v_gate, converged)
 
     history = np.empty((epochs, 5))
     checkpoints = {}
     t0 = time.perf_counter()
     for step in range(epochs):
         net.zero_grad()
-        l1, l2, total = problem.build_losses(net, v_gate)
+        l1, l2, total, n_tilde = problem.build_losses(net, v_gate)
         tv = float(total.value)
         if not np.isfinite(tv):
             raise DivergedError(f"loss diverged at step {step} (V_G={v_gate})",
@@ -271,8 +266,7 @@ def solve_bias(problem: PinnProblem, v_gate: float, opts: SolveOptions | None = 
         if tv < best_loss:
             best_loss = tv
             best_losses = (float(l1.value), float(l2.value), tv)
-            for p, b in zip(net.params, best_params):
-                np.copyto(b, p.value)
+            np.copyto(best_n_tilde, n_tilde.value)
         ad.backward(total)
         lr = ad.scheduler_step(sched, tv)
         adam.lr = lr
@@ -282,8 +276,9 @@ def solve_bias(problem: PinnProblem, v_gate: float, opts: SolveOptions | None = 
         if done in want_checkpoint:
             checkpoints[done] = best_prediction(converged=bool(best_loss <= opts.accept_loss))
         if opts.log_every and done % opts.log_every == 0:
-            logger.info("V_G=%.4f step %d/%d lr=%.2e loss=%.3e best=%.3e",
-                        v_gate, done, epochs, lr, tv, best_loss)
+            rate = done / (time.perf_counter() - t0)
+            logger.info("V_G=%.4f step %d/%d lr=%.2e loss=%.3e best=%.3e %.1f epoch/s ETA %.0f s",
+                        v_gate, done, epochs, lr, tv, best_loss, rate, (epochs - done) / rate)
 
     converged = bool(best_loss <= opts.accept_loss)
     prediction = checkpoints[epochs] if epochs in checkpoints else best_prediction(converged)

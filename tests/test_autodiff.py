@@ -109,6 +109,29 @@ class TestPrimitives:
         expected = 2 * 3.0 * (6.0 - 0.0) + 2 * 3.0 * (6.0 - 1.0)
         assert x.grad[0] == pytest.approx(expected)
 
+    def test_dense_buffered_weight_grad_is_outer(self, rng):
+        w = ad.Tensor(rng.standard_normal((7, 3)))
+        b = ad.Tensor(np.zeros(7))
+        x = rng.standard_normal(3)
+        buf = np.empty((7, 3))
+        ad.backward(ad.mse(ad.elu(ad.dense(x, w, b, buf)), 0.2))
+        upstream = b.grad  # dL/dy, shared by the bias
+        assert w.grad is buf
+        assert np.array_equal(buf, np.outer(upstream, x))
+
+    def test_dense_second_backward_overwrites_buffer(self, rng):
+        w = ad.Tensor(rng.standard_normal((4, 2)))
+        b = ad.Tensor(np.zeros(4))
+        x = ad.Tensor(rng.standard_normal(2))
+        buf = np.empty((4, 2))
+        ad.backward(ad.mse(ad.dense(x, w, b, buf), 1.0))
+        first = buf.copy()
+        w.grad = b.grad = x.grad = None
+        ad.backward(ad.mse(ad.dense(x, w, b, buf), -3.0))
+        assert w.grad is buf
+        assert not np.array_equal(buf, first)
+        assert np.array_equal(buf, np.outer(b.grad, x.value))
+
     def test_raw_array_passthrough(self):
         out = ad.scale_shift(np.array([1.0, 2.0]), 2.0, 1.0)
         assert isinstance(out, np.ndarray)
@@ -150,6 +173,16 @@ class TestGeneratorNet:
         ad.backward(ad.mse(out, 0.0))
         assert all(p.grad is not None for p in net.params)
 
+    def test_weight_grads_reuse_buffers(self):
+        net = ad.GeneratorNet(n_out=30, hidden=(4, 8), seed=5)
+        ad.backward(ad.mse(net.forward(0.5), 0.0))
+        first = [p.grad for p in net.params[::2]]
+        values = [g.copy() for g in first]
+        net.zero_grad()
+        ad.backward(ad.mse(net.forward(0.9), 0.0))
+        assert all(p.grad is g for p, g in zip(net.params[::2], first))
+        assert not any(np.array_equal(g, v) for g, v in zip(first, values))
+
     def test_unknown_arch_rejected(self):
         with pytest.raises(ValueError):
             ad.GeneratorNet(arch="transformer")
@@ -178,6 +211,24 @@ class TestAdam:
             ad.adam_step(sp, [wp], [2.0 * wp.value])
             ad.adam_step(sm, [wm], [2.0 * wm.value])
         assert wp.value[0] == pytest.approx(-wm.value[0], rel=1e-15)
+
+    def test_blocked_update_matches_textbook(self, rng):
+        # larger than one block and not a multiple of it
+        n = 70001
+        assert n > ad._ADAM_BLOCK and n % ad._ADAM_BLOCK
+        w = ad.Tensor(rng.standard_normal(n))
+        state = ad.AdamState([w], lr=3e-3)
+        p, m, v = w.value.copy(), np.zeros(n), np.zeros(n)
+        b1, b2, eps = state.beta1, state.beta2, state.eps
+        for t in range(1, 6):
+            g = rng.standard_normal(n)
+            ad.adam_step(state, [w], [g])
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            p = p - (state.lr / (1.0 - b1**t)) * m / (np.sqrt(v * (1.0 / (1.0 - b2**t))) + eps)
+            assert np.array_equal(state.m[0], m)
+            assert np.array_equal(state.v[0], v)
+            assert np.array_equal(w.value, p)
 
     def test_shape_mismatch_rejected(self):
         w = ad.Tensor(np.zeros(3))

@@ -138,6 +138,18 @@ class TestSolveAndSweep:
         assert outs[0] == outs[1]
         capsys.readouterr()
 
+    def test_not_converged_warning_names_best_loss_and_bound(self, workdir, tmp_path, caplog):
+        out = tmp_path / "short"
+        with caplog.at_level("WARNING"):
+            assert main(["solve", "--config", str(workdir["cfg"]),
+                         "--surrogate", str(workdir["surrogate"]),
+                         "--vg", "0.2", "--epochs", "30", "--out", str(out)]) == 0
+        history = dio.read_loss_history(out / "vg0.2_loss_history.csv")
+        best = history[:, 4].min()
+        assert best > 1e-6 and best < history[-1, 4]  # best and last differ here
+        messages = [r.getMessage() for r in caplog.records if "accept_loss" in r.getMessage()]
+        assert messages == [f"best total loss {best:.3e} above the accept_loss bound 1.0e-06"]
+
     def test_sweep_command(self, workdir, tmp_path, capsys):
         out = tmp_path / "sweepdir"
         rc = main(["sweep", "--config", str(workdir["cfg"]), "--surrogate", str(workdir["surrogate"]),

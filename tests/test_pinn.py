@@ -169,8 +169,18 @@ class TestSolveBias:
         assert result.history[-1, 4] < result.history[0, 4]
 
     def test_insane_bias_rejected(self, small_problem):
-        with pytest.raises(ValueError):
-            solve_bias(small_problem, 5.0, SolveOptions(epochs=10))
+        for v_gate in (5.0, -0.02):
+            with pytest.raises(ValueError, match=r"\[-0\.01, 1\] V"):
+                solve_bias(small_problem, v_gate, SolveOptions(epochs=10))
+
+    def test_progress_line_reports_rate_and_eta(self, small_problem, caplog):
+        with caplog.at_level("INFO", logger="wirepinn.pinn"):
+            solve_bias(small_problem, 0.3, SolveOptions(epochs=20, seed=1, log_every=10))
+        lines = [r.getMessage() for r in caplog.records if r.name == "wirepinn.pinn"]
+        assert len(lines) == 2
+        assert all("epoch/s" in line and "ETA" in line for line in lines)
+        assert lines[0].split("step ")[1].startswith("10/20")
+        assert lines[1].endswith("ETA 0 s")
 
 
 @pytest.mark.slow
