@@ -27,7 +27,6 @@ __all__ = [
     "adam_step",
     "add_weighted",
     "backward",
-    "conv2d_same",
     "dense",
     "elu",
     "fermi_density",
@@ -244,141 +243,43 @@ def add_weighted(a, wa: float, b, wb: float):
     return Tensor(out, parents, vjp)
 
 
-def conv2d_same(x, w: Tensor, b: Tensor, kernel: int = 3):
-    """Same-size 2D convolution refinement: x (cin, H, W) -> (cout, H, W).
-
-    Zero padding, stride 1.  Implemented by unfolding the padded input
-    into columns, so forward and backward are single matmuls.
-    """
-    xv = _value(x)
-    cin, h, wdt = xv.shape
-    cout = w.value.shape[0]
-    k = kernel
-    pad = k // 2
-    xp = np.zeros((cin, h + 2 * pad, wdt + 2 * pad))
-    xp[:, pad:-pad, pad:-pad] = xv
-    cols = np.empty((h * wdt, cin * k * k))
-    idx = 0
-    for c in range(cin):
-        for di in range(k):
-            for dj in range(k):
-                cols[:, idx] = xp[c, di:di + h, dj:dj + wdt].reshape(-1)
-                idx += 1
-    w_mat = w.value.reshape(cout, cin * k * k)
-    out = (cols @ w_mat.T + b.value).T.reshape(cout, h, wdt)
-
-    if not isinstance(x, Tensor):
-        x = None
-
-    def vjp(g):
-        g2 = g.reshape(cout, h * wdt).T               # (H*W, cout)
-        gw = (g2.T @ cols).reshape(w.value.shape)
-        gb = g2.sum(axis=0)
-        grads = []
-        if x is not None:
-            gcols = g2 @ w_mat                        # (H*W, cin*k*k)
-            gxp = np.zeros_like(xp)
-            idx2 = 0
-            for c in range(cin):
-                for di in range(k):
-                    for dj in range(k):
-                        gxp[c, di:di + h, dj:dj + wdt] += gcols[:, idx2].reshape(h, wdt)
-                        idx2 += 1
-            grads.append(gxp[:, pad:-pad, pad:-pad])
-        grads.extend([gw, gb])
-        return tuple(grads)
-
-    parents = (w, b) if x is None else (x, w, b)
-    return Tensor(out, parents, vjp)
-
-
-def reshape(x, shape):
-    xv = _value(x)
-    out = xv.reshape(shape)
-    if not isinstance(x, Tensor):
-        return out
-    return Tensor(out, (x,), lambda g: (g.reshape(xv.shape),))
-
-
 # ---------------------------------------------------------------------------
 # generator network
 
 class GeneratorNet:
     """Maps a scaled gate voltage to a raw (post-ELU) density profile.
 
-    arch "dense": dense 1->64 ELU, 64->256 ELU, 256->n_out ELU.
-    arch "conv": dense 1->(c1*H*W) ELU, reshape, two same-size 3x3
-        convolution refinements (c1->c2 ELU, c2->1 ELU), flatten.
-    Weights are uniform in +-1/sqrt(fan_in), biases zero, fully determined
-    by the seed (default 42).
+    Dense layers 1 -> hidden... -> n_out, each followed by ELU (1-64-256-2193
+    by default).  Weights are uniform in +-1/sqrt(fan_in), biases zero,
+    fully determined by the seed (default 42).
     """
 
-    def __init__(self, arch: str = "dense", n_out: int = 2193, hidden=(64, 256),
-                 grid_shape=(129, 17), channels=(4, 8), seed: int = 42):
-        if arch not in ("dense", "conv"):
-            raise ValueError(f"unknown generator architecture {arch!r}")
-        if arch == "conv" and grid_shape[0] * grid_shape[1] != n_out:
-            raise ValueError("conv generator needs grid_shape consistent with n_out")
-        self.arch = arch
+    def __init__(self, n_out: int = 2193, hidden=(64, 256), seed: int = 42):
         self.n_out = n_out
         self.hidden = tuple(hidden)
-        self.grid_shape = tuple(grid_shape)
-        self.channels = tuple(channels)
-        self.seed = seed
-        self.params: list[Tensor] = []
-        self.reinit(seed)
-
-    def _shapes(self):
-        if self.arch == "dense":
-            sizes = (1, *self.hidden, self.n_out)
-            return [((o, i), (o,)) for i, o in zip(sizes[:-1], sizes[1:])]
-        c1, c2 = self.channels
-        h, w = self.grid_shape
-        return [
-            ((c1 * h * w, 1), (c1 * h * w,)),
-            ((c2, c1, 3, 3), (c2,)),
-            ((1, c2, 3, 3), (1,)),
-        ]
-
-    def reinit(self, seed: int) -> list[Tensor]:
         rng = np.random.default_rng(seed)
-        self.seed = seed
-        self.params = []
-        self._grad_w = []  # one weight-gradient buffer per dense layer
-        for w_shape, b_shape in self._shapes():
-            fan_in = int(np.prod(w_shape[1:]))
+        sizes = (1, *self.hidden, n_out)
+        self.params: list[Tensor] = []
+        self._grad_w = []  # one weight-gradient buffer per layer
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
             bound = 1.0 / math.sqrt(fan_in)
-            self.params.append(Tensor(rng.uniform(-bound, bound, size=w_shape)))
-            self.params.append(Tensor(np.zeros(b_shape)))
-            if len(w_shape) == 2:
-                self._grad_w.append(np.empty(w_shape))
-        return self.params
+            self.params.append(Tensor(rng.uniform(-bound, bound, size=(fan_out, fan_in))))
+            self.params.append(Tensor(np.zeros(fan_out)))
+            self._grad_w.append(np.empty((fan_out, fan_in)))
 
     def forward(self, v_scaled: float) -> Tensor:
         """Deterministic forward pass; output length n_out, post-ELU."""
-        x = np.array([float(v_scaled)])
-        if self.arch == "dense":
-            t = x
-            for i in range(0, len(self.params), 2):
-                t = elu(dense(t, self.params[i], self.params[i + 1], self._grad_w[i // 2]))
-            return t
-        w0, b0, w1, b1, w2, b2 = self.params
-        c1, _ = self.channels
-        h, w = self.grid_shape
-        t = elu(dense(x, w0, b0, self._grad_w[0]))
-        t = reshape(t, (c1, h, w))
-        t = elu(conv2d_same(t, w1, b1))
-        t = elu(conv2d_same(t, w2, b2))
-        return reshape(t, (self.n_out,))
+        t = np.array([float(v_scaled)])
+        for i, grad_w in enumerate(self._grad_w):
+            t = elu(dense(t, self.params[2 * i], self.params[2 * i + 1], grad_w))
+        return t
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
 
     def arch_string(self) -> str:
-        if self.arch == "dense":
-            return "dense:" + "-".join(map(str, (1, *self.hidden, self.n_out)))
-        return f"conv:{self.channels[0]}x{self.grid_shape[0]}x{self.grid_shape[1]}-{self.channels[1]}"
+        return "dense:" + "-".join(map(str, (1, *self.hidden, self.n_out)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Operator entry point: generate data, fit the surrogate, solve biases.
 
 Subcommands: generate, fit-lr, solve, sweep, report, check.  Every
-command is reproducible: the same config and seed produce byte-identical
-data products (no timestamps in payloads).  The WIREPINN_SEED environment
-variable overrides any seed given on the command line.
+command is reproducible: the same config, seed and OpenBLAS thread count
+produce byte-identical data products (no timestamps in payloads).  The
+WIREPINN_SEED environment variable overrides any seed given on the
+command line.
 
 Exit codes: 0 ok, 1 configuration error, 2 oracle failure, 3 solver
 divergence, 4 self-test failure.
@@ -148,7 +149,7 @@ def _load_problem(args):
 
 def _solve_options(args, checkpoints=()) -> pinn.SolveOptions:
     return pinn.SolveOptions(
-        epochs=args.epochs, seed=_seed(args), arch=args.arch,
+        epochs=args.epochs, seed=_seed(args),
         checkpoints=tuple(checkpoints), log_every=args.log_every,
     )
 
@@ -210,7 +211,7 @@ def cmd_sweep(args) -> int:
 
     result = pinn.sweep_solve(
         problem, biases, oracle=oracle_ds, opts=_solve_options(args),
-        probe_xy=(args.probe_x, args.probe_y), workers=args.workers,
+        probe_xy=(args.probe_x, args.probe_y),
     )
     for idx, message in sorted(result.failures.items()):
         print(f"bias {biases[idx]:g} V FAILED: {message}", file=sys.stderr)
@@ -329,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sweep", help="oracle sweep file for error reports")
         p.add_argument("--epochs", type=int, default=200_000)
         p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--arch", choices=("dense", "conv"), default="dense")
         p.add_argument("--w1", type=float, default=1.0, help="boundary-loss weight")
         p.add_argument("--w2", type=float, default=1.0, help="density-consistency loss weight")
         p.add_argument("--out", required=True, help="output directory")
@@ -341,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.set_defaults(func=cmd_solve)
         else:
             p.add_argument("--biases", required=True, help="comma list of gate biases [V]")
-            p.add_argument("--workers", type=int, default=1)
             p.add_argument("--probe-x", type=float, default=0.0405)
             p.add_argument("--probe-y", type=float, default=0.002)
             p.set_defaults(func=cmd_sweep)

@@ -59,6 +59,7 @@ def _fmt(x: float) -> str:
 
 def _atomic_write(path, data: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".wirepinn-tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:

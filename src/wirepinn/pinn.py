@@ -14,7 +14,6 @@ below the normalization scale as zero.
 
 from __future__ import annotations
 
-import contextlib
 import logging
 import time
 from dataclasses import dataclass, field
@@ -59,10 +58,6 @@ class DivergedError(RuntimeError):
         super().__init__(message)
         self.step = step
         self.history = history
-
-    def __reduce__(self):
-        # a sweep worker's error crosses a process boundary by pickle
-        return type(self), (str(self), self.step, self.history)
 
 
 @dataclass
@@ -125,12 +120,14 @@ class SolveOptions:
     lr_patience: int = 2000
     lr_threshold: float = 1e-3
     lr_min: float = 1e-5
-    arch: str = "dense"
-    hidden: tuple = (64, 256)
-    channels: tuple = (4, 8)
+    arch: str = "dense"            # the only generator; kept because perfbench/stage.py passes it
     checkpoints: tuple = ()        # epoch counts at which to snapshot the prediction
     accept_loss: float = 1e-6      # total-loss bound marking a run as converged
     log_every: int = 0             # 0 disables progress logging
+
+    def __post_init__(self):
+        if self.arch != "dense":
+            raise ValueError(f"unknown generator architecture {self.arch!r}; only 'dense' is available")
 
 
 @dataclass
@@ -231,10 +228,7 @@ def solve_bias(problem: PinnProblem, v_gate: float, opts: SolveOptions | None = 
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
 
-    net = ad.GeneratorNet(
-        arch=opts.arch, n_out=problem.mesh.n_nodes, hidden=opts.hidden,
-        grid_shape=(problem.mesh.nx, problem.mesh.ny), channels=opts.channels, seed=seed,
-    )
+    net = ad.GeneratorNet(n_out=problem.mesh.n_nodes, seed=seed)
     adam = ad.AdamState(net.params, lr=opts.lr)
     sched = ad.PlateauScheduler(lr=opts.lr, factor=opts.lr_factor, patience=opts.lr_patience,
                                 threshold=opts.lr_threshold, min_lr=opts.lr_min)
@@ -360,77 +354,41 @@ class SweepSolveResult:
     probe_table: np.ndarray       # (n_ok, 5): v_gate, phi_oracle, phi_pred, n_oracle, n_pred
 
 
-_WORKER_CTX = {}
-
-
-def _sweep_worker(args):
-    idx, v_gate = args
-    try:
-        from threadpoolctl import threadpool_limits
-        limits = threadpool_limits(limits=1)
-    except ImportError:  # pragma: no cover - threadpoolctl ships with sklearn
-        limits = contextlib.nullcontext()
-    try:
-        with limits:
-            result = solve_bias(_WORKER_CTX["problem"], v_gate, _WORKER_CTX["opts"])
-    except DivergedError as exc:
-        return idx, None, str(exc)
-    return idx, result, None
-
-
 def sweep_solve(problem: PinnProblem, biases, oracle: SweepDataset | None = None,
-                opts: SolveOptions | None = None, probe_xy=(0.0405, 0.002),
-                workers: int = 1) -> SweepSolveResult:
-    """Independent ``solve_bias`` per bias, optionally in parallel workers.
+                opts: SolveOptions | None = None, probe_xy=(0.0405, 0.002)) -> SweepSolveResult:
+    """One ``solve_bias`` per bias, in order, each with a fresh generator.
 
-    Each solve is deterministic for its (bias, seed) regardless of worker
-    count.  Per-bias divergences are recorded in ``failures`` and the rest
-    of the sweep continues.  When an oracle sweep is supplied, snapshots
-    at matching biases are scored into per-bias error reports and the
-    probe-trace table is filled.
+    Each bias's result is bitwise equal to ``solve_bias`` at the same bias
+    and options, so it does not depend on the other biases.  The bits do
+    depend on the OpenBLAS thread count (``OPENBLAS_NUM_THREADS``), which
+    changes the summation order of the matrix products.  Per-bias
+    divergences are recorded in ``failures`` and the rest of the sweep
+    continues.  When an oracle sweep is supplied, snapshots at matching
+    biases are scored into per-bias error reports and the probe-trace
+    table is filled.
     """
     opts = opts or SolveOptions()
     biases = np.asarray(list(biases), dtype=float)
-    results: list = [None] * len(biases)
-    failures: dict = {}
-
-    if workers > 1 and len(biases) > 1:
-        import multiprocessing as mp
-
-        _WORKER_CTX["problem"] = problem
-        _WORKER_CTX["opts"] = opts
-        ctx = mp.get_context("fork")
-        with ctx.Pool(processes=workers) as pool:
-            for idx, res, err in pool.imap_unordered(_sweep_worker, list(enumerate(biases))):
-                if err is not None:
-                    failures[idx] = err
-                else:
-                    results[idx] = res
-        _WORKER_CTX.clear()
-    else:
-        for idx, v in enumerate(biases):
-            try:
-                results[idx] = solve_bias(problem, float(v), opts)
-            except DivergedError as exc:
-                failures[idx] = str(exc)
-
     probe_node = nearest_node(problem.mesh, *probe_xy)
-
     reports: list = [None] * len(biases)
     predictions: list = [None] * len(biases)
+    failures: dict = {}
     probe_rows = []
-    for idx, res in enumerate(results):
-        if res is None:
+    for idx, v in enumerate(biases):
+        try:
+            res = solve_bias(problem, float(v), opts)
+        except DivergedError as exc:
+            failures[idx] = str(exc)
             continue
         predictions[idx] = res.prediction
-        snap = oracle.snapshot_at(biases[idx]) if oracle is not None else None
+        snap = oracle.snapshot_at(v) if oracle is not None else None
         if snap is not None:
             reports[idx] = evaluate_against(
                 res.prediction, snap, gate_nodes=problem.gate_nodes,
                 epochs=res.epochs, losses=res.best_losses,
             )
             probe_rows.append((
-                float(biases[idx]),
+                float(v),
                 float(snap.phi[probe_node]), float(res.prediction.phi[probe_node]),
                 float(snap.n[probe_node]), float(res.prediction.n[probe_node]),
             ))

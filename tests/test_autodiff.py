@@ -3,6 +3,7 @@ import pytest
 
 from wirepinn import autodiff as ad
 from wirepinn import fermi
+from wirepinn.pinn import SolveOptions
 
 
 def _fd_check(build, params_list, rng, n_probes=30, h=1e-6, tol=1e-5):
@@ -90,12 +91,6 @@ class TestPrimitives:
         b = ad.Tensor(rng.standard_normal(9))
         _fd_check(lambda: ad.add_weighted(ad.mse(a, 0.0), 0.7, ad.mse(b, 1.0), 1.3), [a, b], rng)
 
-    def test_conv2d_gradients(self, rng):
-        x = ad.Tensor(rng.standard_normal((2, 6, 5)))
-        w = ad.Tensor(rng.standard_normal((3, 2, 3, 3)) * 0.3)
-        b = ad.Tensor(rng.standard_normal(3) * 0.1)
-        _fd_check(lambda: ad.mse(ad.conv2d_same(x, w, b), 0.2), [x, w, b], rng)
-
     def test_backward_requires_scalar(self, rng):
         x = ad.Tensor(rng.standard_normal(4))
         with pytest.raises(ValueError, match="scalar"):
@@ -166,13 +161,6 @@ class TestGeneratorNet:
         net = ad.GeneratorNet(n_out=500, seed=3)
         assert np.all(net.forward(1.0).value > -1.0)
 
-    def test_conv_variant_shapes(self):
-        net = ad.GeneratorNet(arch="conv", n_out=7 * 5, grid_shape=(7, 5), channels=(3, 4), seed=2)
-        out = net.forward(0.5)
-        assert out.value.shape == (35,)
-        ad.backward(ad.mse(out, 0.0))
-        assert all(p.grad is not None for p in net.params)
-
     def test_weight_grads_reuse_buffers(self):
         net = ad.GeneratorNet(n_out=30, hidden=(4, 8), seed=5)
         ad.backward(ad.mse(net.forward(0.5), 0.0))
@@ -184,8 +172,11 @@ class TestGeneratorNet:
         assert not any(np.array_equal(g, v) for g, v in zip(first, values))
 
     def test_unknown_arch_rejected(self):
-        with pytest.raises(ValueError):
-            ad.GeneratorNet(arch="transformer")
+        # the dense generator is the only architecture a solve can ask for
+        assert SolveOptions(arch="dense").arch == "dense"
+        for arch in ("conv", "transformer"):
+            with pytest.raises(ValueError, match=rf"{arch!r}.*'dense'"):
+                SolveOptions(arch=arch)
 
 
 class TestAdam:

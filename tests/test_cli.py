@@ -44,6 +44,18 @@ class TestGenerate:
         assert rc == 1
         assert "configuration error" in capsys.readouterr().err
 
+    def test_missing_output_directories_created(self, workdir, tmp_path):
+        sweep = tmp_path / "runs" / "new" / "sweep.txt"
+        model = tmp_path / "models" / "lr" / "surrogate.wpnn"
+        assert main(["generate", "--config", str(workdir["cfg"]), "--v-end", "0.3",
+                     "--out", str(sweep)]) == 0
+        assert main(["fit-lr", "--config", str(workdir["cfg"]), "--sweep", str(sweep),
+                     "--cutoff", "40", "--out", str(model)]) == 0
+        assert len(dio.read_sweep(sweep)) == 41
+        assert (sweep.parent / "sweep_probe.csv").exists()
+        assert dio.read_model(model).meta.n_snapshots == 40
+        assert (model.parent / "surrogate_scatter.csv").exists()
+
     def test_probe_csv_written(self, workdir):
         probe = workdir["root"] / "sweep_probe.csv"
         assert probe.exists()
@@ -154,7 +166,7 @@ class TestSolveAndSweep:
         out = tmp_path / "sweepdir"
         rc = main(["sweep", "--config", str(workdir["cfg"]), "--surrogate", str(workdir["surrogate"]),
                    "--sweep", str(workdir["sweep"]), "--biases", "0.15,0.6",
-                   "--epochs", "500", "--workers", "2", "--out", str(out)])
+                   "--epochs", "500", "--out", str(out)])
         assert rc == 0
         assert (out / "probe_trace.csv").exists()
         assert (out / "report_vg0.15.txt").exists()
