@@ -1,32 +1,37 @@
-# The reverse-mode tape on its own: primitives, gradient checking, Adam,
-# and the plateau schedule.
+# The training machinery on its own: the generator's hand-written
+# gradient, Adam, the plateau schedule and seed determinism.
 
 import numpy as np
 
 from wirepinn import autodiff as ad
 
-# build a small graph and differentiate it
-rng = np.random.default_rng(0)
-w = ad.Tensor(rng.standard_normal((4, 3)))
-b = ad.Tensor(np.zeros(4))
-x = ad.Tensor(rng.standard_normal(3))
+# a small generator and a quadratic loss on its output
+net = ad.GeneratorNet(n_out=6, hidden=(4, 3), seed=0)
 
-y = ad.elu(ad.dense(x, w, b))
-loss = ad.mse(y, 0.5)
-ad.backward(loss)
-print("loss:", float(loss.value))
-print("dL/db:", b.grad)
+
+def loss_and_grad(v_scaled):
+    """mean((out - 0.5)^2) and its gradient with respect to the output."""
+    diff = net.forward(v_scaled) - 0.5
+    return float(np.mean(diff * diff)), (2.0 / diff.size) * diff
+
+
+loss, g_out = loss_and_grad(0.4)
+net.backward(g_out)
+w = net.params[2]  # the second layer's weight (3, 4)
+print("loss:", loss)
+print("dL/db of the output layer:", net.params[-1].grad)
 
 # check one coordinate against a central difference
 h = 1e-6
+analytic = w.grad[2, 1]  # read before the probes: a later backward reuses the buffer
 keep = w.value[2, 1]
 w.value[2, 1] = keep + h
-f_plus = float(ad.mse(ad.elu(ad.dense(x, w, b)), 0.5).value)
+f_plus = loss_and_grad(0.4)[0]
 w.value[2, 1] = keep - h
-f_minus = float(ad.mse(ad.elu(ad.dense(x, w, b)), 0.5).value)
+f_minus = loss_and_grad(0.4)[0]
 w.value[2, 1] = keep
 fd = (f_plus - f_minus) / (2 * h)
-print(f"dL/dw[2,1]: analytic {w.grad[2, 1]:.10f} vs finite difference {fd:.10f}")
+print(f"dL/dw[2,1]: analytic {analytic:.10f} vs finite difference {fd:.10f}")
 
 # Adam on a scalar quadratic
 wopt = ad.Tensor(np.array([0.0]))
@@ -45,5 +50,5 @@ print("lr ladder under a constant loss:", ", ".join(f"{v:g}" for v in marks))
 net_a = ad.GeneratorNet(n_out=16, hidden=(4, 8), seed=42)
 net_b = ad.GeneratorNet(n_out=16, hidden=(4, 8), seed=42)
 print("\nsame seed, identical outputs:",
-      np.array_equal(net_a.forward(0.5).value, net_b.forward(0.5).value))
-print("generator arch:", net_a.arch_string())
+      np.array_equal(net_a.forward(0.5), net_b.forward(0.5)))
+print("layer sizes:", "-".join(map(str, (1, *net_a.hidden, net_a.n_out))))

@@ -154,6 +154,14 @@ def _solve_options(args, checkpoints=()) -> pinn.SolveOptions:
     )
 
 
+def _write_prediction(problem, snapshot, out_dir: str) -> None:
+    """One solved bias's prediction as ``vg<bias>_prediction.txt``."""
+    pred_ds = SweepDataset(snapshots=[snapshot],
+                           mesh_fingerprint=problem.mesh.fingerprint(), params=problem.params)
+    dataset_io.write_sweep(pred_ds, problem.mesh,
+                           os.path.join(out_dir, f"vg{snapshot.v_gate:g}_prediction.txt"))
+
+
 def cmd_solve(args) -> int:
     problem = _load_problem(args)
     mesh = problem.mesh
@@ -172,9 +180,7 @@ def cmd_solve(args) -> int:
             dataset_io.write_loss_history(exc.history, prefix + "_loss_history.csv")
         raise
     dataset_io.write_loss_history(result.history, prefix + "_loss_history.csv")
-    pred_ds = SweepDataset(snapshots=[result.prediction],
-                           mesh_fingerprint=mesh.fingerprint(), params=problem.params)
-    dataset_io.write_sweep(pred_ds, mesh, prefix + "_prediction.txt")
+    _write_prediction(problem, result.prediction, args.out)
     print(f"V_G={args.vg} V: {result.epochs} epochs in {result.wall_time_s/60:.1f} min, "
           f"final losses l1={result.history[-1,2]:.3e} l2={result.history[-1,3]:.3e}")
 
@@ -198,7 +204,7 @@ def cmd_solve(args) -> int:
                [result.history[:, 0], result.history[:, 4]], ["step", "total loss"], logy=True)
     if not result.prediction.converged:
         logger.warning("best total loss %.3e above the accept_loss bound %.1e",
-                       result.best_loss, opts.accept_loss)
+                       result.best_loss, pinn.ACCEPT_LOSS)
     return EXIT_OK
 
 
@@ -215,6 +221,10 @@ def cmd_sweep(args) -> int:
     )
     for idx, message in sorted(result.failures.items()):
         print(f"bias {biases[idx]:g} V FAILED: {message}", file=sys.stderr)
+    solved = [pred for pred in result.predictions if pred is not None]
+    for pred in solved:
+        _write_prediction(problem, pred, args.out)
+    print(f"wrote {len(solved)} of {len(biases)} predictions to {args.out}")
 
     if result.probe_table.size:
         probe_csv = os.path.join(args.out, "probe_trace.csv")

@@ -10,11 +10,17 @@ data component is the frozen low-bias surrogate.
 The density-consistency loss is taken in log10 space: the density spans
 many orders of magnitude and a linear-scale MSE would see everything
 below the normalization scale as zero.
+
+The graph is fixed, so its gradient is written out by hand:
+`PinnProblem.build_losses` carries dL/d(generator output) back through
+the two mean squares, the Fermi closure and the surrogate's transposed
+factors, and `autodiff.GeneratorNet.backward` takes it from there.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -48,6 +54,16 @@ logger = logging.getLogger(__name__)
 
 V_GATE_SCALE = 0.75          # network input is v_gate / V_GATE_SCALE
 POSTPROCESS_SHIFT = 1.0 + 1e-9
+MAX_TRAINING_BIAS = 0.30     # [V] firewall: the surrogate may be fitted only below this
+ACCEPT_LOSS = 1e-6           # total-loss bound marking a run as converged
+# Adam learning rate and its reduce-on-plateau schedule
+LR = 1e-3
+LR_FACTOR = 0.5
+LR_PATIENCE = 2000
+LR_THRESHOLD = 1e-3
+LR_MIN = 1e-5
+
+_LN10 = math.log(10.0)
 
 
 class DivergedError(RuntimeError):
@@ -64,7 +80,7 @@ class DivergedError(RuntimeError):
 class PinnProblem:
     """Frozen ingredients of a self-supervised solve.
 
-    The surrogate must have been trained only below ``max_training_bias``
+    The surrogate must have been trained only below ``MAX_TRAINING_BIAS``
     (the out-of-range firewall); violating metadata raises at
     construction.
     """
@@ -74,55 +90,64 @@ class PinnProblem:
     params: fermi.SemiconductorParams
     w_boundary: float = 1.0
     w_fd: float = 1.0
-    epochs: int = 200_000
-    seed: int = 42
-    max_training_bias: float = 0.30
 
     gate_nodes: np.ndarray = field(init=False)
-    oxide_nodes: np.ndarray = field(init=False)
 
     def __post_init__(self):
         meta = self.surrogate.meta
-        if meta.bias_max > self.max_training_bias + 1e-9:
+        if meta.bias_max > MAX_TRAINING_BIAS + 1e-9:
             raise ValueError(
                 f"surrogate was trained up to V_G={meta.bias_max} V, above the "
-                f"{self.max_training_bias} V firewall for out-of-range claims"
+                f"{MAX_TRAINING_BIAS} V firewall for out-of-range claims"
             )
         if meta.mesh_fingerprint and meta.mesh_fingerprint != self.mesh.fingerprint():
             raise ValueError("surrogate was fitted on a different mesh")
         self.gate_nodes = self.mesh.gate_nodes()
-        self.oxide_nodes = np.flatnonzero(~self.mesh.silicon_mask())
         if len(self.gate_nodes) == 0:
             raise ValueError("mesh has no gate contact nodes")
 
-    def surrogate_phi(self, n_tilde):
-        """phi = left @ (right @ n_tilde) + b as two tape ops."""
-        sur = self.surrogate
-        return ad.fixed_affine(ad.fixed_affine(n_tilde, sur.right, 0.0), sur.left, sur.intercept)
+    def weighted_total(self, l1, l2):
+        """The training objective from the boundary and consistency losses."""
+        return l1 * self.w_boundary + l2 * self.w_fd
 
     def build_losses(self, net: "ad.GeneratorNet", v_gate: float):
-        """The exact training graph: (loss_boundary, loss_fd, total, n_tilde)."""
+        """The training graph and its gradient: (l1, l2, total, n_tilde, g_raw).
+
+        ``g_raw`` is d(total)/d(raw generator output) for ``net.backward``.
+        The chain rule's factors are multiplied in one fixed order, from
+        the loss back to the generator output, one forward operation at a
+        time; regrouping them changes the bits of every solve.
+        """
         raw = net.forward(v_gate / V_GATE_SCALE)
         n_tilde = postprocess(raw)
-        phi = self.surrogate_phi(n_tilde)
-        l1 = loss_boundary(phi, v_gate, self.gate_nodes)
-        l2 = loss_fd(n_tilde, phi, self.params, self.mesh)
-        total = ad.add_weighted(l1, self.w_boundary, l2, self.w_fd)
-        return l1, l2, total, n_tilde
+        sur = self.surrogate
+        phi = predict_phi(sur, n_tilde)
+        mask = self.mesh.silicon_mask()
+        r1 = _boundary_residual(phi, v_gate, self.gate_nodes)
+        r2, n_fd_tilde = _fd_residual(n_tilde, phi, self.params, mask)
+        l1, l2 = _mean_square(r1), _mean_square(r2)
+        total = self.weighted_total(l1, l2)
+
+        # d total / d r = w * 2 r / size for each mean square
+        g1 = (self.w_boundary * (2.0 / r1.size)) * r1
+        g2 = (self.w_fd * (2.0 / r2.size)) * r2
+        # phi feeds the gate residual and the closure
+        g_phi = np.zeros_like(phi)
+        np.add.at(g_phi, self.gate_nodes, g1)
+        g_phi += (g2 * (1.0 / (n_fd_tilde * _LN10)) * (1.0 / DENSITY_SCALE)
+                  * fermi.electron_density_deriv(phi, self.params, mask))
+        # n_tilde feeds the surrogate and the log; postprocess is a shift
+        g_raw = sur.right.T @ (sur.left.T @ g_phi)
+        g_raw += (-g2) * (1.0 / (n_tilde * _LN10))
+        return l1, l2, total, n_tilde, g_raw
 
 
 @dataclass
 class SolveOptions:
-    epochs: int | None = None      # None -> problem.epochs
-    seed: int | None = None        # None -> problem.seed
-    lr: float = 1e-3
-    lr_factor: float = 0.5
-    lr_patience: int = 2000
-    lr_threshold: float = 1e-3
-    lr_min: float = 1e-5
+    epochs: int = 200_000
+    seed: int = 42
     arch: str = "dense"            # the only generator; kept because perfbench/stage.py passes it
     checkpoints: tuple = ()        # epoch counts at which to snapshot the prediction
-    accept_loss: float = 1e-6      # total-loss bound marking a run as converged
     log_every: int = 0             # 0 disables progress logging
 
     def __post_init__(self):
@@ -169,34 +194,51 @@ def postprocess(raw):
     defined and equals the 1e10/1e19 normalization offset, so a floored
     output means exactly zero physical density.
     """
-    return ad.scale_shift(raw, 1.0, POSTPROCESS_SHIFT)
+    return raw + POSTPROCESS_SHIFT
 
 
 def gate_voltage(phi, gate_nodes: np.ndarray) -> float:
     """Extracted gate bias: mean potential over the gate contact nodes."""
     if len(gate_nodes) == 0:
         raise ValueError("gate node set is empty")
-    phi = phi.value if isinstance(phi, ad.Tensor) else np.asarray(phi)
-    return float(np.mean(phi[gate_nodes]))
+    return float(np.mean(np.asarray(phi)[gate_nodes]))
 
 
-def loss_boundary(phi, v_gate: float, gate_nodes: np.ndarray):
-    """Mean squared gate-node deviation from the requested bias [V^2]."""
+def _mean_square(r):
+    return np.mean(r * r)
+
+
+def _boundary_residual(phi, v_gate: float, gate_nodes: np.ndarray):
+    """Gate-node deviation from the requested bias [V]."""
     if len(gate_nodes) == 0:
         raise ValueError("gate node set is empty")
-    return ad.mse(ad.gather(phi, gate_nodes), float(v_gate))
+    return phi[gate_nodes] - float(v_gate)
 
 
-def loss_fd(n_tilde, phi, params: fermi.SemiconductorParams, mesh: TensorMesh):
+def _fd_residual(n_tilde, phi, params: fermi.SemiconductorParams, silicon_mask: np.ndarray):
+    """Log10 mismatch of the closure's normalized density at ``phi`` against
+    ``n_tilde``, and that normalized density.
+
+    The closure is looked up through `fermi` at call time, like its
+    derivative in `PinnProblem.build_losses`.
+    """
+    n_fd_tilde = (fermi.electron_density(phi, params, silicon_mask) + DENSITY_OFFSET) / DENSITY_SCALE
+    return np.log10(n_fd_tilde) - np.log10(n_tilde), n_fd_tilde
+
+
+def loss_boundary(phi, v_gate: float, gate_nodes: np.ndarray) -> float:
+    """Mean squared gate-node deviation from the requested bias [V^2]."""
+    return float(_mean_square(_boundary_residual(phi, v_gate, gate_nodes)))
+
+
+def loss_fd(n_tilde, phi, params: fermi.SemiconductorParams, mesh: TensorMesh) -> float:
     """Fermi-Dirac consistency loss in log space.
 
     The potential is pushed through the density closure (region aware, so
     oxide nodes pin to the normalization floor), normalized exactly like
     the generator output, and compared in log10 over all nodes.
     """
-    n_fd = ad.fermi_density(phi, params, mesh.silicon_mask())
-    n_fd_tilde = ad.shift_divide(n_fd, DENSITY_OFFSET, DENSITY_SCALE)
-    return ad.mse(ad.log10(n_fd_tilde), ad.log10(n_tilde))
+    return float(_mean_square(_fd_residual(n_tilde, phi, params, mesh.silicon_mask())[0]))
 
 
 def _prediction_snapshot(problem: PinnProblem, n_tilde: np.ndarray, v_gate: float,
@@ -223,15 +265,14 @@ def solve_bias(problem: PinnProblem, v_gate: float, opts: SolveOptions | None = 
     opts = opts or SolveOptions()
     if not (-0.01 <= v_gate <= 1.0):
         raise ValueError(f"v_gate {v_gate} outside the sane [-0.01, 1] V range")
-    epochs = opts.epochs if opts.epochs is not None else problem.epochs
-    seed = opts.seed if opts.seed is not None else problem.seed
+    epochs, seed = opts.epochs, opts.seed
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
 
     net = ad.GeneratorNet(n_out=problem.mesh.n_nodes, seed=seed)
-    adam = ad.AdamState(net.params, lr=opts.lr)
-    sched = ad.PlateauScheduler(lr=opts.lr, factor=opts.lr_factor, patience=opts.lr_patience,
-                                threshold=opts.lr_threshold, min_lr=opts.lr_min)
+    adam = ad.AdamState(net.params, lr=LR)
+    sched = ad.PlateauScheduler(lr=LR, factor=LR_FACTOR, patience=LR_PATIENCE,
+                                threshold=LR_THRESHOLD, min_lr=LR_MIN)
 
     want_checkpoint = set(int(c) for c in opts.checkpoints)
 
@@ -251,30 +292,29 @@ def solve_bias(problem: PinnProblem, v_gate: float, opts: SolveOptions | None = 
     checkpoints = {}
     t0 = time.perf_counter()
     for step in range(epochs):
-        net.zero_grad()
-        l1, l2, total, n_tilde = problem.build_losses(net, v_gate)
-        tv = float(total.value)
+        l1, l2, total, n_tilde, g_raw = problem.build_losses(net, v_gate)
+        tv = float(total)
         if not np.isfinite(tv):
             raise DivergedError(f"loss diverged at step {step} (V_G={v_gate})",
                                 step=step, history=history[:step].copy())
         if tv < best_loss:
             best_loss = tv
-            best_losses = (float(l1.value), float(l2.value), tv)
-            np.copyto(best_n_tilde, n_tilde.value)
-        ad.backward(total)
+            best_losses = (float(l1), float(l2), tv)
+            np.copyto(best_n_tilde, n_tilde)
+        net.backward(g_raw)
         lr = ad.scheduler_step(sched, tv)
         adam.lr = lr
         ad.adam_step(adam, net.params, [p.grad for p in net.params])
-        history[step] = (step, lr, float(l1.value), float(l2.value), tv)
+        history[step] = (step, lr, float(l1), float(l2), tv)
         done = step + 1
         if done in want_checkpoint:
-            checkpoints[done] = best_prediction(converged=bool(best_loss <= opts.accept_loss))
+            checkpoints[done] = best_prediction(converged=bool(best_loss <= ACCEPT_LOSS))
         if opts.log_every and done % opts.log_every == 0:
             rate = done / (time.perf_counter() - t0)
             logger.info("V_G=%.4f step %d/%d lr=%.2e loss=%.3e best=%.3e %.1f epoch/s ETA %.0f s",
                         v_gate, done, epochs, lr, tv, best_loss, rate, (epochs - done) / rate)
 
-    converged = bool(best_loss <= opts.accept_loss)
+    converged = bool(best_loss <= ACCEPT_LOSS)
     prediction = checkpoints[epochs] if epochs in checkpoints else best_prediction(converged)
     return PinnResult(
         prediction=prediction,
@@ -341,7 +381,7 @@ def teacher_forced_losses(problem: PinnProblem, snapshot: Snapshot):
     phi = predict_phi(problem.surrogate, n_tilde)
     l1 = loss_boundary(phi, snapshot.v_gate, problem.gate_nodes)
     l2 = loss_fd(n_tilde, phi, problem.params, problem.mesh)
-    return float(l1), float(l2), float(problem.w_boundary * l1 + problem.w_fd * l2)
+    return l1, l2, float(problem.weighted_total(l1, l2))
 
 
 @dataclass

@@ -171,6 +171,28 @@ class TestSolveAndSweep:
         assert (out / "probe_trace.csv").exists()
         assert (out / "report_vg0.15.txt").exists()
         assert (out / "report_vg0.6.txt").exists()
+        assert (out / "vg0.15_prediction.txt").exists()
+        assert (out / "vg0.6_prediction.txt").exists()
+        capsys.readouterr()
+
+    def test_sweep_writes_predictions_without_oracle_match(self, workdir, tmp_path, capsys):
+        common = ["--config", str(workdir["cfg"]), "--surrogate", str(workdir["surrogate"]),
+                  "--epochs", "20"]
+        # no oracle at all, then an oracle whose grid misses both biases
+        for name, extra, biases in (("none", [], (0.15, 0.6)),
+                                    ("offgrid", ["--sweep", str(workdir["sweep"])], (0.1, 0.123))):
+            out = tmp_path / name
+            rc = main(["sweep", *common, *extra, "--biases", ",".join(map(str, biases)),
+                       "--out", str(out)])
+            assert rc == 0
+            for v in biases:
+                ds = dio.read_sweep(out / f"vg{v:g}_prediction.txt")
+                assert len(ds) == 1 and ds.snapshots[0].v_gate == v
+        # the same file, byte for byte, as solve writes for that bias
+        solo = tmp_path / "solo"
+        assert main(["solve", *common, "--vg", "0.15", "--out", str(solo)]) == 0
+        assert ((solo / "vg0.15_prediction.txt").read_bytes()
+                == (tmp_path / "none" / "vg0.15_prediction.txt").read_bytes())
         capsys.readouterr()
 
 

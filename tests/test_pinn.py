@@ -29,12 +29,6 @@ class TestPostprocess:
         n = surrogate.denormalize_density(postprocess(np.array([-1.0])))
         assert n[0] == pytest.approx(0.0, abs=1e4)  # 1e4 cm^-3 of 1e19 scale is rounding
 
-    def test_differentiable_passthrough(self):
-        raw = ad.Tensor(np.array([0.2, -0.5]))
-        out = postprocess(raw)
-        ad.backward(ad.mse(out, 0.0))
-        assert raw.grad is not None
-
 
 class TestGateVoltage:
     def test_constant_gate(self, small_problem):
@@ -123,10 +117,44 @@ class TestFixedPoint:
 
 class TestSurrogateFactorization:
     def test_surrogate_phi_matches_predict_phi(self, problem, rng):
+        sur = problem.surrogate
         x = rng.uniform(0.0, 5.0, size=problem.mesh.n_nodes)
-        expected = surrogate.predict_phi(problem.surrogate, x)
-        assert np.array_equal(problem.surrogate_phi(x), expected)
-        assert np.array_equal(problem.surrogate_phi(ad.Tensor(x)).value, expected)
+        assert np.array_equal(surrogate.predict_phi(sur, x), sur.left @ (sur.right @ x) + sur.intercept)
+        # the training graph's potential is predict_phi of its n_tilde
+        net = ad.GeneratorNet(n_out=problem.mesh.n_nodes, hidden=(8, 16), seed=2)
+        l1, l2, total, n_tilde, _ = problem.build_losses(net, 0.4)
+        phi = surrogate.predict_phi(sur, n_tilde)
+        assert l1 == loss_boundary(phi, 0.4, problem.gate_nodes)
+        assert l2 == loss_fd(n_tilde, phi, problem.params, problem.mesh)
+        assert total == l1 + l2
+
+
+class TestTrainingGradient:
+    @pytest.mark.parametrize("w_boundary, w_fd", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)],
+                             ids=["boundary", "fd", "both"])
+    def test_matches_central_differences(self, small_problem, w_boundary, w_fd):
+        # with both terms, phi and n_tilde each sum two gradient paths
+        problem = PinnProblem(mesh=small_problem.mesh, surrogate=small_problem.surrogate,
+                              params=small_problem.params, w_boundary=w_boundary, w_fd=w_fd)
+        net = ad.GeneratorNet(n_out=problem.mesh.n_nodes, hidden=(8, 16), seed=11)
+        _, _, f0, _, g_raw = problem.build_losses(net, 0.5)
+        net.backward(g_raw)
+        grads = [p.grad.copy() for p in net.params]
+        rng = np.random.default_rng(5)
+        h = 1e-6
+        # central differences lose about eps * |f| / h to rounding
+        atol = 1e-8 * abs(f0)
+        for p, g in zip(net.params, grads):  # every layer's W and b
+            for _ in range(4):
+                idx = np.unravel_index(int(rng.integers(p.value.size)), p.value.shape)
+                keep = p.value[idx]
+                p.value[idx] = keep + h
+                f_plus = problem.build_losses(net, 0.5)[2]
+                p.value[idx] = keep - h
+                f_minus = problem.build_losses(net, 0.5)[2]
+                p.value[idx] = keep
+                fd = (f_plus - f_minus) / (2 * h)
+                assert abs(g[idx] - fd) <= 1e-4 * max(abs(g[idx]), abs(fd)) + atol, (p.value.shape, idx)
 
 
 @pytest.mark.slow
