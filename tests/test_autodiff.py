@@ -2,7 +2,56 @@ import numpy as np
 import pytest
 
 from wirepinn import autodiff as ad
-from wirepinn.pinn import SolveOptions
+from wirepinn import fermi, surrogate
+from wirepinn.pinn import PinnProblem, SolveOptions, loss_fd
+
+
+class _FixedRaw:
+    """Stands in for the generator: ``forward`` returns a set raw output,
+    so ``build_losses``'s d(total)/d(raw) can be probed node by node."""
+
+    def __init__(self, raw):
+        self.raw = raw
+
+    def forward(self, v_scaled):
+        return self.raw
+
+
+def _weighted(problem, w_boundary, w_fd):
+    return PinnProblem(mesh=problem.mesh, surrogate=problem.surrogate,
+                       params=problem.params, w_boundary=w_boundary, w_fd=w_fd)
+
+
+def _raw(problem, seed=7):
+    # keeps n_tilde = raw + 1 + 1e-9 well inside the log's domain
+    return np.random.default_rng(seed).uniform(-0.5, 1.5, size=problem.mesh.n_nodes)
+
+
+def _assert_raw_gradient(problem, raw, nodes, v_gate=0.5, h=1e-6):
+    """build_losses's g_raw against central differences of its total."""
+    gen = _FixedRaw(raw)
+    _, _, f0, _, g_raw = problem.build_losses(gen, v_gate)
+    g_raw = g_raw.copy()
+    # central differences lose about eps * |f| / h to rounding
+    atol = 1e-8 * abs(f0)
+    for i in nodes:
+        keep = raw[i]
+        raw[i] = keep + h
+        f_plus = problem.build_losses(gen, v_gate)[2]
+        raw[i] = keep - h
+        f_minus = problem.build_losses(gen, v_gate)[2]
+        raw[i] = keep
+        fd = (f_plus - f_minus) / (2 * h)
+        assert abs(g_raw[i] - fd) <= 1e-4 * max(abs(g_raw[i]), abs(fd)) + atol, i
+    return g_raw
+
+
+def _probe_nodes(problem, count=6, seed=3):
+    """A few gate nodes, silicon nodes and oxide nodes."""
+    rng = np.random.default_rng(seed)
+    mask = problem.mesh.silicon_mask()
+    picks = [problem.gate_nodes, np.flatnonzero(mask), np.flatnonzero(~mask)]
+    return [int(i) for p in picks if len(p) for i in rng.choice(p, min(count, len(p)), replace=False)]
 
 
 def _quadratic(net, v_scaled, target):
@@ -75,6 +124,70 @@ class TestPrimitives:
             assert w.grad is g
             assert not np.array_equal(g, v)
             assert np.array_equal(g, np.outer(b.grad, x))
+
+    # The loss side of the training graph, written out in
+    # PinnProblem.build_losses: each test probes d(total)/d(raw output).
+
+    def test_log10_scale_shift_gather_gradients(self, small_problem):
+        # boundary only: the postprocess shift and the gate-node gather
+        # behind the surrogate; consistency only: the shift and both log10s
+        for w_boundary, w_fd in ((1.0, 0.0), (0.0, 1.0)):
+            problem = _weighted(small_problem, w_boundary, w_fd)
+            _assert_raw_gradient(problem, _raw(problem), _probe_nodes(problem))
+
+    def test_fermi_closure_gradients(self, small_problem, params, rng):
+        # the closure derivative, zero off silicon, against central differences
+        mask = np.ones(15, dtype=bool)
+        mask[10:] = False
+        phi = rng.uniform(0.0, 0.6, size=15)
+        h = 1e-7
+        fd = (fermi.electron_density(phi + h, params, mask)
+              - fermi.electron_density(phi - h, params, mask)) / (2 * h)
+        d = fermi.electron_density_deriv(phi, params, mask)
+        assert np.all(d[10:] == 0.0)
+        assert np.allclose(d, fd, rtol=1e-5, atol=0.0)
+        # and through the consistency loss of the training graph
+        problem = _weighted(small_problem, 0.0, 1.0)
+        _assert_raw_gradient(problem, _raw(problem, seed=8), _probe_nodes(problem, seed=4))
+
+    def test_mse_of_two_tensors(self, small_problem):
+        # the consistency residual has a differentiable term on both sides:
+        # log10 of the closure at phi(n_tilde), and log10 of n_tilde itself
+        problem = _weighted(small_problem, 0.0, 1.0)
+        raw = _raw(problem, seed=9)
+        l1, l2, total, n_tilde, _ = problem.build_losses(_FixedRaw(raw), 0.5)
+        phi = surrogate.predict_phi(problem.surrogate, n_tilde)
+        assert l2 == loss_fd(n_tilde, phi, problem.params, problem.mesh)
+        assert total == l2 and l1 > 0.0
+        g_raw = _assert_raw_gradient(problem, raw, _probe_nodes(problem, seed=5))
+        # the log10(n_tilde) side alone is not the whole gradient
+        n_fd = fermi.electron_density(phi, problem.params, problem.mesh.silicon_mask())
+        r2 = np.log10((n_fd + surrogate.DENSITY_OFFSET) / surrogate.DENSITY_SCALE) - np.log10(n_tilde)
+        log_side = -(2.0 / r2.size) * r2 / (n_tilde * np.log(10.0))
+        assert not np.allclose(g_raw, log_side, rtol=1e-3, atol=0.0)
+
+    def test_add_weighted(self, small_problem):
+        raw = _raw(small_problem, seed=10)
+        parts = [_weighted(small_problem, *w).build_losses(_FixedRaw(raw), 0.5)
+                 for w in ((1.0, 0.0), (0.0, 1.0))]
+        problem = _weighted(small_problem, 0.7, 1.3)
+        l1, l2, total, _, g_raw = problem.build_losses(_FixedRaw(raw), 0.5)
+        assert (l1, l2) == (parts[0][0], parts[0][1])
+        assert total == l1 * 0.7 + l2 * 1.3
+        assert np.allclose(g_raw, 0.7 * parts[0][4] + 1.3 * parts[1][4], rtol=1e-10, atol=1e-14)
+        _assert_raw_gradient(problem, raw, _probe_nodes(problem, seed=6))
+
+    def test_reused_node_accumulates(self, small_problem):
+        # phi feeds the gate residual and the closure, n_tilde the surrogate
+        # and the log: with both terms each sums two gradient paths
+        raw = _raw(small_problem, seed=11)
+        g_b, g_fd = (_weighted(small_problem, *w).build_losses(_FixedRaw(raw), 0.5)[4]
+                     for w in ((1.0, 0.0), (0.0, 1.0)))
+        problem = _weighted(small_problem, 1.0, 1.0)
+        g_raw = _assert_raw_gradient(problem, raw, _probe_nodes(problem, seed=7))
+        assert np.allclose(g_raw, g_b + g_fd, rtol=1e-10, atol=1e-14)
+        assert not np.allclose(g_raw, g_b, rtol=1e-3, atol=0.0)
+        assert not np.allclose(g_raw, g_fd, rtol=1e-3, atol=0.0)
 
 
 class TestGeneratorNet:
