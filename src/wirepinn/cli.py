@@ -26,6 +26,7 @@ from .mesh import (
     assemble_fv_coefficients,
     build_device_mesh,
     load_device_config,
+    nearest_node,
 )
 from .oracle import (
     ConvergenceError,
@@ -61,32 +62,6 @@ def _seed(args) -> int:
     return args.seed
 
 
-def _maybe_svg(args, path, columns, labels, kind="line", logy=False):
-    if not getattr(args, "svg", False):
-        return
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        logger.warning("--svg requested but matplotlib is not installed; skipping %s", path)
-        return
-    fig, ax = plt.subplots(figsize=(5, 4))
-    x = columns[0]
-    for y, label in zip(columns[1:], labels[1:]):
-        if kind == "scatter":
-            ax.plot(x, y, ".", markersize=2, label=label)
-        else:
-            ax.plot(x, y, label=label)
-    if logy:
-        ax.set_yscale("log")
-    ax.set_xlabel(labels[0])
-    ax.legend(fontsize=8)
-    fig.tight_layout()
-    fig.savefig(path)
-    plt.close(fig)
-
-
 def cmd_generate(args) -> int:
     config = _device_config(args)
     mesh = build_device_mesh(config)
@@ -105,8 +80,6 @@ def cmd_generate(args) -> int:
     node, biases, phi, n = extract_probe(dataset, mesh, args.probe_x, args.probe_y)
     probe_csv = os.path.splitext(args.out)[0] + "_probe.csv"
     dataset_io.write_csv(probe_csv, ["v_gate", "phi_V", "n_cm3"], [biases, phi, n])
-    _maybe_svg(args, os.path.splitext(args.out)[0] + "_probe.svg",
-               [biases, phi], ["V_G [V]", f"phi at node {node} [V]"])
     print(f"wrote {len(dataset)} snapshots to {args.out} (probe node {node} -> {probe_csv})")
     return EXIT_OK
 
@@ -128,8 +101,6 @@ def cmd_fit_lr(args) -> int:
     vg = np.repeat(dataset.biases, mesh.n_nodes)
     dataset_io.write_csv(scatter_csv, ["v_gate", "phi_oracle_V", "phi_predicted_V"],
                          [vg, truth, preds])
-    _maybe_svg(args, os.path.splitext(args.out)[0] + "_scatter.svg",
-               [truth, preds], ["oracle phi [V]", "predicted phi [V]"], kind="scatter")
     print(f"fitted on first {args.cutoff} snapshots "
           f"(V_G {sur.meta.bias_min:g}..{sur.meta.bias_max:g} V) -> {args.out}")
     print(f"R2 over all snapshots: {stats['r2']:.8f}; max |dphi| {stats['max_abs_err']*1e3:.4f} mV; "
@@ -152,6 +123,12 @@ def _solve_options(args, checkpoints=()) -> pinn.SolveOptions:
         epochs=args.epochs, seed=_seed(args),
         checkpoints=tuple(checkpoints), log_every=args.log_every,
     )
+
+
+def _score(problem, snapshot, oracle_snap, history, epochs: int) -> pinn.ErrorReport:
+    """A prediction's error report, with the best losses within its epoch budget."""
+    return pinn.evaluate_against(snapshot, oracle_snap, gate_nodes=problem.gate_nodes, epochs=epochs,
+                                 losses=pinn.best_losses_within(history, epochs))
 
 
 def _write_prediction(problem, snapshot, out_dir: str) -> None:
@@ -189,10 +166,7 @@ def cmd_solve(args) -> int:
         if oracle_snap is not None:
             snaps = dict(result.checkpoints) if study else {result.epochs: result.prediction}
             for epoch_count, snap in sorted(snaps.items()):
-                report = pinn.evaluate_against(
-                    snap, oracle_snap, gate_nodes=problem.gate_nodes, epochs=epoch_count,
-                    losses=pinn.best_losses_within(result.history, epoch_count),
-                )
+                report = _score(problem, snap, oracle_snap, result.history, epoch_count)
                 suffix = f"_report_{epoch_count}.txt" if study else "_report.txt"
                 dataset_io.write_report(report, mesh, prefix + suffix)
                 print(f"  epochs={epoch_count}: max phi err {report.max_phi_err_pct:.4f}%, "
@@ -200,8 +174,6 @@ def cmd_solve(args) -> int:
                       f"V_G'={report.v_gate_extracted:.5f} V")
         else:
             logger.warning("no oracle snapshot at V_G=%g; skipping error report", args.vg)
-    _maybe_svg(args, prefix + "_loss_history.svg",
-               [result.history[:, 0], result.history[:, 4]], ["step", "total loss"], logy=True)
     if not result.prediction.converged:
         logger.warning("best total loss %.3e above the accept_loss bound %.1e",
                        result.best_loss, pinn.ACCEPT_LOSS)
@@ -215,54 +187,37 @@ def cmd_sweep(args) -> int:
     biases = [float(b) for b in args.biases.split(",")]
     os.makedirs(args.out, exist_ok=True)
 
-    result = pinn.sweep_solve(
-        problem, biases, oracle=oracle_ds, opts=_solve_options(args),
-        probe_xy=(args.probe_x, args.probe_y),
-    )
-    for idx, message in sorted(result.failures.items()):
-        print(f"bias {biases[idx]:g} V FAILED: {message}", file=sys.stderr)
-    solved = [pred for pred in result.predictions if pred is not None]
-    for pred in solved:
-        _write_prediction(problem, pred, args.out)
-    print(f"wrote {len(solved)} of {len(biases)} predictions to {args.out}")
-
-    if result.probe_table.size:
-        probe_csv = os.path.join(args.out, "probe_trace.csv")
-        dataset_io.write_csv(
-            probe_csv,
-            ["v_gate", "phi_oracle_V", "phi_pinn_V", "n_oracle_cm3", "n_pinn_cm3"],
-            [result.probe_table[:, i] for i in range(5)],
-        )
-        _maybe_svg(args, os.path.join(args.out, "probe_trace.svg"),
-                   [result.probe_table[:, 0], result.probe_table[:, 1], result.probe_table[:, 2]],
-                   ["V_G [V]", "oracle", "solver"])
-        print(f"probe trace at node {result.probe_node} -> {probe_csv}")
-
-    rows_truth, rows_pred = [], []
-    for idx, report in enumerate(result.reports):
-        if report is None:
+    results = pinn.sweep_solve(problem, biases, _solve_options(args))
+    probe = nearest_node(mesh, args.probe_x, args.probe_y)
+    probe_rows, scatter = [], []
+    for v, result in zip(biases, results):
+        if isinstance(result, str):
+            print(f"bias {v:g} V FAILED: {result}", file=sys.stderr)
             continue
-        dataset_io.write_report(report, mesh, os.path.join(args.out, f"report_vg{biases[idx]:g}.txt"))
-        print(f"V_G={biases[idx]:g} V: max phi err {report.max_phi_err_pct:.4f}%, "
+        pred = result.prediction
+        _write_prediction(problem, pred, args.out)
+        snap = oracle_ds.snapshot_at(v) if oracle_ds is not None else None
+        if snap is None:
+            continue
+        report = _score(problem, pred, snap, result.history, result.epochs)
+        dataset_io.write_report(report, mesh, os.path.join(args.out, f"report_vg{v:g}.txt"))
+        print(f"V_G={v:g} V: max phi err {report.max_phi_err_pct:.4f}%, "
               f"max log-n err {report.max_logn_err_pct:.4f}%")
-    if oracle_ds is not None:
-        for idx, pred in enumerate(result.predictions):
-            snap = oracle_ds.snapshot_at(biases[idx])
-            if pred is None or snap is None:
-                continue
-            rows_truth.append(np.stack([snap.phi, snap.n]))
-            rows_pred.append(np.stack([pred.phi, pred.n]))
-        if rows_truth:
-            truth = np.concatenate([r[0] for r in rows_truth])
-            pred = np.concatenate([r[0] for r in rows_pred])
-            truth_n = np.concatenate([r[1] for r in rows_truth])
-            pred_n = np.concatenate([r[1] for r in rows_pred])
-            dataset_io.write_csv(
-                os.path.join(args.out, "scatter_all_nodes.csv"),
-                ["phi_oracle_V", "phi_pinn_V", "n_oracle_cm3", "n_pinn_cm3"],
-                [truth, pred, truth_n, pred_n],
-            )
-    return EXIT_DIVERGED if result.failures else EXIT_OK
+        probe_rows.append((v, snap.phi[probe], pred.phi[probe], snap.n[probe], pred.n[probe]))
+        scatter.append(np.stack([snap.phi, pred.phi, snap.n, pred.n]))
+    n_failed = sum(isinstance(r, str) for r in results)
+    print(f"wrote {len(biases) - n_failed} of {len(biases)} predictions to {args.out}")
+
+    if probe_rows:
+        probe_csv = os.path.join(args.out, "probe_trace.csv")
+        dataset_io.write_csv(probe_csv,
+                             ["v_gate", "phi_oracle_V", "phi_pinn_V", "n_oracle_cm3", "n_pinn_cm3"],
+                             np.array(probe_rows).T)
+        dataset_io.write_csv(os.path.join(args.out, "scatter_all_nodes.csv"),
+                             ["phi_oracle_V", "phi_pinn_V", "n_oracle_cm3", "n_pinn_cm3"],
+                             np.concatenate(scatter, axis=1))
+        print(f"probe trace at node {probe} -> {probe_csv}")
+    return EXIT_DIVERGED if n_failed else EXIT_OK
 
 
 def cmd_report(args) -> int:
@@ -322,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probe-x", type=float, default=0.0405, help="probe x [um]")
     p.add_argument("--probe-y", type=float, default=0.002, help="probe y [um]")
     p.add_argument("--out", required=True, help="output sweep file")
-    p.add_argument("--svg", action="store_true")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("fit-lr", help="fit the density->potential surrogate on a sweep prefix")
@@ -330,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", required=True)
     p.add_argument("--cutoff", type=int, default=40, help="number of leading snapshots to train on")
     p.add_argument("--out", required=True, help="output model file")
-    p.add_argument("--svg", action="store_true")
     p.set_defaults(func=cmd_fit_lr)
 
     for name in ("solve", "sweep"):
@@ -344,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--w2", type=float, default=1.0, help="density-consistency loss weight")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--log-every", type=int, default=0)
-        p.add_argument("--svg", action="store_true")
         if name == "solve":
             p.add_argument("--vg", type=float, required=True)
             p.add_argument("--epoch-study", help="comma list of epoch counts to report, e.g. 30000,100000,200000")

@@ -14,11 +14,12 @@ import json
 import os
 import struct
 import tempfile
+from itertools import repeat
 
 import numpy as np
 
 from . import fermi
-from .mesh import CONTACT_NAMES, Q_COULOMB, REGION_NAMES, SILICON, TensorMesh
+from .mesh import REGION_NAMES, TensorMesh
 from .oracle import Snapshot, SweepDataset
 from .surrogate import LinearSurrogate, SurrogateMeta
 
@@ -57,6 +58,23 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _rows(columns, sep: str) -> list:
+    """Data rows: the i-th values of all columns, joined by ``sep``.
+
+    Arrays go through ``.tolist()`` and every value through ``str``, which
+    for a float is the same shortest round-trip text as ``_fmt`` and for
+    an integer its digits.  Other columns (lists of strings, iterators)
+    are taken as they are; the shortest column sets the row count.
+    """
+    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    return [sep.join(map(str, row)) for row in zip(*cols)]
+
+
+def _node_columns(mesh: TensorMesh) -> list:
+    """Per-node index, x [um] and y [um] columns, in node order."""
+    return [np.arange(mesh.n_nodes), np.repeat(mesh.x_nodes, mesh.ny), np.tile(mesh.y_nodes, mesh.nx)]
+
+
 def _atomic_write(path, data: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -92,21 +110,13 @@ def write_sweep(dataset: SweepDataset, mesh: TensorMesh, path) -> None:
         "# biases " + " ".join(_fmt(v) for v in dataset.biases),
         "# columns snapshot v_gate node x_um y_um region phi_V n_cm3",
     ]
-    ny = mesh.ny
-    xs = [_fmt(x) for x in mesh.x_nodes]
-    ys = [_fmt(y) for y in mesh.y_nodes]
-    regions = [REGION_NAMES[int(r)] for r in mesh.region]
+    nodes = _rows([*_node_columns(mesh), [REGION_NAMES[r] for r in mesh.region.tolist()]], " ")
     for k, snap in enumerate(dataset.snapshots):
         lines.append(
             f"# snapshot {k} converged={int(snap.converged)} "
             f"residual_norm={_fmt(snap.residual_norm)} iterations={snap.newton_iterations}"
         )
-        vg = _fmt(snap.v_gate)
-        phi, n = snap.phi, snap.n
-        for i in range(mesh.n_nodes):
-            lines.append(
-                f"{k} {vg} {i} {xs[i // ny]} {ys[i % ny]} {regions[i]} {_fmt(phi[i])} {_fmt(n[i])}"
-            )
+        lines += _rows([repeat(f"{k} {_fmt(snap.v_gate)}"), nodes, snap.phi, snap.n], " ")
     lines.append("")
     _atomic_write(path, "\n".join(lines).encode())
 
@@ -114,8 +124,8 @@ def write_sweep(dataset: SweepDataset, mesh: TensorMesh, path) -> None:
 def read_sweep(path, mesh: TensorMesh | None = None) -> SweepDataset:
     """Load a sweep file; raises SweepFormatError naming the bad line.
 
-    If a mesh is supplied, its fingerprint must match the file and
-    net-charge fields are reconstructed from the mesh doping.
+    If a mesh is supplied, its fingerprint and node count must match the
+    file.
     """
     fingerprint = ""
     constants = {}
@@ -188,12 +198,9 @@ def read_sweep(path, mesh: TensorMesh | None = None) -> SweepDataset:
         vg, phis, ns = records[k]
         if len(phis) != n_nodes:
             raise SweepFormatError(f"{path}: snapshot {k} is truncated ({len(phis)}/{n_nodes} nodes)")
-        phi = np.array(phis)
-        n = np.array(ns)
         meta = snap_meta.get(k, {})
-        charge = Q_COULOMB * (mesh.net_doping - n) if mesh is not None else None
         snapshots.append(Snapshot(
-            v_gate=vg, phi=phi, n=n, net_charge=charge,
+            v_gate=vg, phi=np.array(phis), n=np.array(ns),
             converged=bool(int(meta.get("converged", 1))),
             residual_norm=float(meta.get("residual_norm", "nan")),
             newton_iterations=int(meta.get("iterations", 0)),
@@ -330,12 +337,7 @@ def write_report(report, mesh: TensorMesh, path) -> None:
         "",
         "# node x_um y_um phi_err_pct logn_err_pct",
     ]
-    ny = mesh.ny
-    for i in range(mesh.n_nodes):
-        lines.append(
-            f"{i} {_fmt(mesh.x_nodes[i // ny])} {_fmt(mesh.y_nodes[i % ny])} "
-            f"{_fmt(report.phi_err_pct[i])} {_fmt(report.logn_err_pct[i])}"
-        )
+    lines += _rows([*_node_columns(mesh), report.phi_err_pct, report.logn_err_pct], " ")
     lines.append("")
     _atomic_write(path, "\n".join(lines).encode())
 
@@ -364,8 +366,7 @@ def read_report(path):
 def write_loss_history(history: np.ndarray, path) -> None:
     """Loss history rows: step lr loss_boundary loss_fd total."""
     lines = ["# step lr loss_boundary loss_fd total"]
-    for row in history:
-        lines.append(f"{int(row[0])} {_fmt(row[1])} {_fmt(row[2])} {_fmt(row[3])} {_fmt(row[4])}")
+    lines += _rows([history[:, 0].astype(np.int64), *history[:, 1:5].T], " ")
     lines.append("")
     _atomic_write(path, "\n".join(lines).encode())
 
@@ -383,12 +384,7 @@ def read_loss_history(path) -> np.ndarray:
 
 def write_csv(path, header, columns) -> None:
     """Columnar CSV with exact float rendering (figure-data emission)."""
-    columns = [np.asarray(c) for c in columns]
     lines = [",".join(header)]
-    for i in range(len(columns[0])):
-        lines.append(",".join(
-            str(int(c[i])) if np.issubdtype(c.dtype, np.integer) else _fmt(c[i])
-            for c in columns
-        ))
+    lines += _rows([np.asarray(c) for c in columns], ",")
     lines.append("")
     _atomic_write(path, "\n".join(lines).encode())

@@ -50,6 +50,11 @@ logger = logging.getLogger(__name__)
 # Two biases closer than this are the same bias point: far below any ramp
 # step, far above the rounding of a bias parsed from text.
 BIAS_MATCH_TOL = 1e-9
+# Newton convergence: residual inf-norm at most this fraction of the
+# largest charge term (see default_tolerance)
+RESIDUAL_TOL_REL = 1e-10
+# Newton damping: |delta phi| <= DAMPING_CLAMP_VT * V_T per node per step
+DAMPING_CLAMP_VT = 10.0
 
 
 class ConvergenceError(RuntimeError):
@@ -68,7 +73,6 @@ class Snapshot:
     v_gate: float
     phi: np.ndarray          # [V] per node
     n: np.ndarray            # [cm^-3] per node, 0 in oxide
-    net_charge: np.ndarray | None  # q*(N_D - N_A - n) [C/cm^3], None if unknown
     converged: bool = True
     residual_norm: float = float("nan")
     newton_iterations: int = 0
@@ -105,15 +109,13 @@ class SweepDataset:
 @dataclass
 class SolverOptions:
     max_iterations: int = 100
-    damping_clamp_vt: float = 10.0   # |delta phi| <= clamp * V_T per node per step
-    tolerance: float | None = None   # absolute residual inf-norm; None -> charge-scaled
     zero_charge: bool = False        # testing hook: drop doping and carriers entirely
 
 
 def default_tolerance(mesh: TensorMesh, coeffs: FvCoefficients) -> float:
-    """1e-10 of the largest charge term q * |doping|_max * vol_max."""
+    """RESIDUAL_TOL_REL of the largest charge term q * |doping|_max * vol_max."""
     doping_scale = max(float(np.max(np.abs(mesh.net_doping))), 1e10)
-    return 1e-10 * Q_COULOMB * doping_scale * float(np.max(coeffs.volume))
+    return RESIDUAL_TOL_REL * Q_COULOMB * doping_scale * float(np.max(coeffs.volume))
 
 
 def built_in_potential(mesh: TensorMesh, params: fermi.SemiconductorParams) -> float:
@@ -162,15 +164,16 @@ def solve_equilibrium(
 
     The discrete residual at node c is
         F_c = sum_edges g * (phi_nb - phi_c) + q * (N_D - N_A - n(phi_c)) * vol_c
-    and convergence requires max|F| <= tolerance over all non-Dirichlet
-    nodes.  Newton updates are clamped to +-damping_clamp_vt * V_T per node.
+    and convergence requires max|F| <= default_tolerance over all
+    non-Dirichlet nodes.  Newton updates are clamped to
+    +-DAMPING_CLAMP_VT * V_T per node.
     Raises ConvergenceError on stagnation or a singular linear system.
     """
     opts = opts or SolverOptions()
     nx, ny = mesh.nx, mesh.ny
     n_nodes = mesh.n_nodes
-    tol = opts.tolerance if opts.tolerance is not None else default_tolerance(mesh, coeffs)
-    clamp = opts.damping_clamp_vt * params.v_t
+    tol = default_tolerance(mesh, coeffs)
+    clamp = DAMPING_CLAMP_VT * params.v_t
 
     bc_mask = mesh.dirichlet_mask()
     bc = _dirichlet_values(mesh, params, v_gate, opts.zero_charge)
@@ -249,13 +252,10 @@ def solve_equilibrium(
         f = residual(phi)
         rnorm = float(np.max(np.abs(f[free]))) if free.any() else 0.0
         if rnorm <= tol:
-            n = density(phi)
-            charge = Q_COULOMB * (doping - n)
             return Snapshot(
                 v_gate=float(v_gate),
                 phi=phi,
-                n=n,
-                net_charge=charge,
+                n=density(phi),
                 converged=True,
                 residual_norm=rnorm,
                 newton_iterations=iteration,

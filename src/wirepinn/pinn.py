@@ -28,8 +28,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import fermi
-from .mesh import Q_COULOMB, TensorMesh, nearest_node
-from .oracle import Snapshot, SweepDataset
+from .mesh import TensorMesh
+from .oracle import Snapshot
 from .surrogate import DENSITY_OFFSET, DENSITY_SCALE, LinearSurrogate, denormalize_density, predict_phi
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "PinnProblem",
     "PinnResult",
     "SolveOptions",
-    "SweepSolveResult",
     "best_losses_within",
     "evaluate_against",
     "gate_voltage",
@@ -184,7 +183,6 @@ class PinnResult:
     epochs: int
     wall_time_s: float
     best_loss: float = float("nan")
-    best_losses: tuple = (float("nan"),) * 3
 
 
 def postprocess(raw):
@@ -243,11 +241,13 @@ def loss_fd(n_tilde, phi, params: fermi.SemiconductorParams, mesh: TensorMesh) -
 
 def _prediction_snapshot(problem: PinnProblem, n_tilde: np.ndarray, v_gate: float,
                          converged: bool) -> Snapshot:
-    phi = predict_phi(problem.surrogate, n_tilde)
-    n = denormalize_density(n_tilde)
-    charge = Q_COULOMB * (problem.mesh.net_doping - n)
-    return Snapshot(v_gate=float(v_gate), phi=phi, n=n, net_charge=charge,
-                    converged=converged, residual_norm=float("nan"))
+    return Snapshot(v_gate=float(v_gate), phi=predict_phi(problem.surrogate, n_tilde),
+                    n=denormalize_density(n_tilde), converged=converged, residual_norm=float("nan"))
+
+
+def _check_bias(v_gate: float) -> None:
+    if not (-0.01 <= v_gate <= 1.0):
+        raise ValueError(f"v_gate {v_gate} outside the sane [-0.01, 1] V range")
 
 
 def solve_bias(problem: PinnProblem, v_gate: float, opts: SolveOptions | None = None) -> PinnResult:
@@ -263,8 +263,7 @@ def solve_bias(problem: PinnProblem, v_gate: float, opts: SolveOptions | None = 
     the loss goes non-finite.
     """
     opts = opts or SolveOptions()
-    if not (-0.01 <= v_gate <= 1.0):
-        raise ValueError(f"v_gate {v_gate} outside the sane [-0.01, 1] V range")
+    _check_bias(v_gate)
     epochs, seed = opts.epochs, opts.seed
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
@@ -282,7 +281,6 @@ def solve_bias(problem: PinnProblem, v_gate: float, opts: SolveOptions | None = 
     # prediction depends on the parameters only through the generator's
     # output, so that output is all that is kept.
     best_loss = np.inf
-    best_losses = (np.nan, np.nan, np.nan)
     best_n_tilde = np.empty(problem.mesh.n_nodes)
 
     def best_prediction(converged):
@@ -299,7 +297,6 @@ def solve_bias(problem: PinnProblem, v_gate: float, opts: SolveOptions | None = 
                                 step=step, history=history[:step].copy())
         if tv < best_loss:
             best_loss = tv
-            best_losses = (float(l1), float(l2), tv)
             np.copyto(best_n_tilde, n_tilde)
         net.backward(g_raw)
         lr = ad.scheduler_step(sched, tv)
@@ -324,7 +321,6 @@ def solve_bias(problem: PinnProblem, v_gate: float, opts: SolveOptions | None = 
         epochs=epochs,
         wall_time_s=time.perf_counter() - t0,
         best_loss=float(best_loss),
-        best_losses=best_losses,
     )
 
 
@@ -384,56 +380,26 @@ def teacher_forced_losses(problem: PinnProblem, snapshot: Snapshot):
     return l1, l2, float(problem.weighted_total(l1, l2))
 
 
-@dataclass
-class SweepSolveResult:
-    biases: np.ndarray
-    reports: list                 # ErrorReport or None per bias
-    predictions: list             # Snapshot or None per bias
-    failures: dict                # bias index -> message
-    probe_node: int
-    probe_table: np.ndarray       # (n_ok, 5): v_gate, phi_oracle, phi_pred, n_oracle, n_pred
-
-
-def sweep_solve(problem: PinnProblem, biases, oracle: SweepDataset | None = None,
-                opts: SolveOptions | None = None, probe_xy=(0.0405, 0.002)) -> SweepSolveResult:
+def sweep_solve(problem: PinnProblem, biases, opts: SolveOptions | None = None) -> list:
     """One ``solve_bias`` per bias, in order, each with a fresh generator.
 
-    Each bias's result is bitwise equal to ``solve_bias`` at the same bias
-    and options, so it does not depend on the other biases.  The bits do
-    depend on the OpenBLAS thread count (``OPENBLAS_NUM_THREADS``), which
-    changes the summation order of the matrix products.  Per-bias
-    divergences are recorded in ``failures`` and the rest of the sweep
-    continues.  When an oracle sweep is supplied, snapshots at matching
-    biases are scored into per-bias error reports and the probe-trace
-    table is filled.
+    Returns, per bias, its ``PinnResult`` or, if the loss diverged, the
+    failure message; the rest of the sweep continues past a divergence.
+    Every bias is checked against the solvable range before any is
+    trained.  Each result is bitwise equal to ``solve_bias`` at the same
+    bias and options, so it does not depend on the other biases.  The
+    bits do depend on the OpenBLAS thread count (``OPENBLAS_NUM_THREADS``),
+    which changes the summation order of the matrix products.  This only
+    solves; it never scores against an oracle (see ``evaluate_against``).
     """
     opts = opts or SolveOptions()
-    biases = np.asarray(list(biases), dtype=float)
-    probe_node = nearest_node(problem.mesh, *probe_xy)
-    reports: list = [None] * len(biases)
-    predictions: list = [None] * len(biases)
-    failures: dict = {}
-    probe_rows = []
-    for idx, v in enumerate(biases):
+    biases = [float(v) for v in biases]
+    for v in biases:
+        _check_bias(v)
+    results: list = []
+    for v in biases:
         try:
-            res = solve_bias(problem, float(v), opts)
+            results.append(solve_bias(problem, v, opts))
         except DivergedError as exc:
-            failures[idx] = str(exc)
-            continue
-        predictions[idx] = res.prediction
-        snap = oracle.snapshot_at(v) if oracle is not None else None
-        if snap is not None:
-            reports[idx] = evaluate_against(
-                res.prediction, snap, gate_nodes=problem.gate_nodes,
-                epochs=res.epochs, losses=res.best_losses,
-            )
-            probe_rows.append((
-                float(v),
-                float(snap.phi[probe_node]), float(res.prediction.phi[probe_node]),
-                float(snap.n[probe_node]), float(res.prediction.n[probe_node]),
-            ))
-    probe_table = np.array(probe_rows) if probe_rows else np.empty((0, 5))
-    return SweepSolveResult(
-        biases=biases, reports=reports, predictions=predictions,
-        failures=failures, probe_node=probe_node, probe_table=probe_table,
-    )
+            results.append(str(exc))
+    return results

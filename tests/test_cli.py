@@ -5,6 +5,7 @@ import pytest
 
 from wirepinn import checks, dataset_io as dio
 from wirepinn.cli import main
+from wirepinn.mesh import build_device_mesh, load_device_config, nearest_node
 
 SMALL_CFG = "nx = 17\nny = 8\n"
 
@@ -168,11 +169,30 @@ class TestSolveAndSweep:
                    "--sweep", str(workdir["sweep"]), "--biases", "0.15,0.6",
                    "--epochs", "500", "--out", str(out)])
         assert rc == 0
-        assert (out / "probe_trace.csv").exists()
-        assert (out / "report_vg0.15.txt").exists()
-        assert (out / "report_vg0.6.txt").exists()
-        assert (out / "vg0.15_prediction.txt").exists()
-        assert (out / "vg0.6_prediction.txt").exists()
+        mesh = build_device_mesh(load_device_config(workdir["cfg"]))
+        probe = nearest_node(mesh, 0.0405, 0.002)  # the default --probe-x/--probe-y
+        oracle = dio.read_sweep(workdir["sweep"], mesh)
+        expected_probe, expected_scatter = [], []
+        for v in (0.15, 0.6):
+            scalars, per_node = dio.read_report(out / f"report_vg{v:g}.txt")
+            assert scalars["v_gate"] == v and scalars["epochs"] == 500
+            assert per_node.shape == (mesh.n_nodes, 2)
+            pred = dio.read_sweep(out / f"vg{v:g}_prediction.txt", mesh).snapshots[0]
+            snap = oracle.snapshot_at(v)
+            expected_probe.append([v, snap.phi[probe], pred.phi[probe], snap.n[probe], pred.n[probe]])
+            expected_scatter.append(np.column_stack([snap.phi, pred.phi, snap.n, pred.n]))
+
+        def table(name):
+            lines = (out / name).read_text().splitlines()
+            return lines[0].split(","), np.array([[float(x) for x in l.split(",")] for l in lines[1:]])
+
+        header, rows = table("probe_trace.csv")
+        assert header == ["v_gate", "phi_oracle_V", "phi_pinn_V", "n_oracle_cm3", "n_pinn_cm3"]
+        assert np.array_equal(rows, np.array(expected_probe))
+        header, rows = table("scatter_all_nodes.csv")
+        assert header == ["phi_oracle_V", "phi_pinn_V", "n_oracle_cm3", "n_pinn_cm3"]
+        assert rows.shape == (2 * mesh.n_nodes, 4)
+        assert np.array_equal(rows, np.concatenate(expected_scatter))
         capsys.readouterr()
 
     def test_sweep_writes_predictions_without_oracle_match(self, workdir, tmp_path, capsys):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wirepinn import dataset_io as dio
 from wirepinn import pinn, surrogate
 from wirepinn.mesh import DeviceConfig, build_device_mesh
-from wirepinn.oracle import SweepDataset, ramp_sweep
+from wirepinn.oracle import Snapshot, SweepDataset, ramp_sweep
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +29,6 @@ class TestSweepFiles:
             assert a.v_gate == b.v_gate
             assert np.array_equal(a.phi, b.phi)
             assert np.array_equal(a.n, b.n)
-            assert np.array_equal(a.net_charge, b.net_charge)
             assert a.converged == b.converged
             assert a.residual_norm == b.residual_norm
             assert a.newton_iterations == b.newton_iterations
@@ -76,7 +78,7 @@ class TestSweepFiles:
         path = tmp_path / "sweep.txt"
         dio.write_sweep(sweep, mesh, path)
         loaded = dio.read_sweep(path)
-        assert loaded.snapshots[0].net_charge is None
+        assert loaded.mesh_fingerprint == mesh.fingerprint()
         assert np.array_equal(loaded.snapshots[0].phi, sweep.snapshots[0].phi)
 
 
@@ -191,3 +193,96 @@ class TestHistoryAndCsv:
         dio.write_sweep(sweep, mesh, tmp_path / "s.txt")
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".wirepinn-tmp-")]
         assert not leftovers
+
+
+# Every float64, including -0.0, subnormals, +-max, infinities and NaN.
+EDGES = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+         -1.7976931348623157e308, float("inf"), float("-inf"), float("nan"), -float("nan")]
+
+
+def _same(a, b) -> bool:
+    """Value-exact equality: NaN equals NaN, and -0.0 differs from 0.0.
+
+    A NaN's sign and payload are not compared: its text is always ``nan``.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    signed = ~np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a[signed]), np.signbit(b[signed])))
+
+
+def _column(shape):
+    return arrays(np.float64, shape, elements=st.floats())
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("roundtrip")
+
+
+class TestRenderer:
+    def test_nonfinite_text_matches_fmt(self):
+        values = np.array(EDGES)
+        assert dio._rows([values], ",") == [dio._fmt(v) for v in EDGES]
+        assert dio._rows([values[-4:]], ",") == ["inf", "-inf", "nan", "nan"]
+
+    def test_integer_and_string_columns(self):
+        rows = dio._rows([np.array([3, -4]), ["a", "b"], np.array([0.5, -0.0])], " ")
+        assert rows == ["3 a 0.5", "-4 b -0.0"]
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(phi=_column(63), n=_column(63), v_gate=st.floats(), residual=st.floats(),
+           iterations=st.integers(0, 10**6), converged=st.booleans())
+    @example(phi=np.full(63, -0.0), n=np.resize(np.array(EDGES), 63), v_gate=-0.0,
+             residual=float("nan"), iterations=0, converged=False)
+    def test_sweep(self, tiny, scratch, phi, n, v_gate, residual, iterations, converged):
+        mesh, sweep = tiny
+        snap = Snapshot(v_gate=v_gate, phi=phi, n=n, converged=converged,
+                        residual_norm=residual, newton_iterations=iterations)
+        ds = SweepDataset(snapshots=[snap], mesh_fingerprint=mesh.fingerprint(), params=sweep.params)
+        dio.write_sweep(ds, mesh, scratch / "sweep.txt")
+        back = dio.read_sweep(scratch / "sweep.txt", mesh).snapshots[0]
+        assert _same(back.v_gate, v_gate) and _same(back.residual_norm, residual)
+        assert _same(back.phi, phi) and _same(back.n, n)
+        assert back.converged == converged and back.newton_iterations == iterations
+
+    @settings(max_examples=40, deadline=None)
+    @given(values=_column(9), per_node=_column((63, 2)), epochs=st.integers(0, 10**9))
+    @example(values=np.array(EDGES), per_node=np.resize(np.array(EDGES), (63, 2)), epochs=0)
+    def test_report(self, tiny, scratch, values, per_node, epochs):
+        mesh, _ = tiny
+        report = pinn.ErrorReport(
+            v_gate=values[0], max_phi_err_pct=abs(values[1]), max_logn_err_pct=abs(values[2]),
+            phi_err_pct=per_node[:, 0], logn_err_pct=per_node[:, 1], epochs=epochs,
+            final_loss_boundary=values[3], final_loss_fd=values[4], final_loss_total=values[5],
+            v_gate_extracted=values[6],
+        )
+        dio.write_report(report, mesh, scratch / "report.txt")
+        scalars, back = dio.read_report(scratch / "report.txt")
+        assert scalars["epochs"] == epochs
+        for key in ("v_gate", "max_phi_err_pct", "max_logn_err_pct", "final_loss_boundary",
+                    "final_loss_fd", "final_loss_total", "v_gate_extracted"):
+            assert _same(scalars[key], getattr(report, key))
+        assert _same(back, per_node)
+
+    @settings(max_examples=40, deadline=None)
+    @given(losses=_column((12, 4)), start=st.integers(0, 2**53 - 12))
+    @example(losses=np.resize(np.array(EDGES), (12, 4)), start=0)
+    def test_loss_history(self, scratch, losses, start):
+        history = np.column_stack([np.arange(start, start + 12, dtype=float), losses])
+        dio.write_loss_history(history, scratch / "hist.csv")
+        assert _same(dio.read_loss_history(scratch / "hist.csv"), history)
+
+    @settings(max_examples=40, deadline=None)
+    @given(x=_column(10), y=_column(10), k=arrays(np.int64, 10))
+    @example(x=np.resize(np.array(EDGES), 10), y=np.zeros(10), k=np.zeros(10, dtype=np.int64))
+    def test_csv(self, scratch, x, y, k):
+        dio.write_csv(scratch / "t.csv", ["x", "k", "y"], [x, k, y])
+        lines = (scratch / "t.csv").read_text().splitlines()
+        assert lines[0] == "x,k,y"
+        fields = [line.split(",") for line in lines[1:]]
+        assert [int(f[1]) for f in fields] == k.tolist()
+        assert _same([float(f[0]) for f in fields], x)
+        assert _same([float(f[2]) for f in fields], y)

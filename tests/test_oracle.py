@@ -101,8 +101,7 @@ class TestResidualCheck:
         node = default_mesh.node_index(default_mesh.nx // 2, 3)
         phi = snap.phi.copy()
         phi[node] += 1e-3
-        perturbed = type(snap)(v_gate=snap.v_gate, phi=phi, n=snap.n,
-                               net_charge=snap.net_charge)
+        perturbed = type(snap)(v_gate=snap.v_gate, phi=phi, n=snap.n)
         assert residual_check(default_mesh, default_coeffs, params, perturbed) > base
 
     def test_zero_field_zero_charge_gives_zero(self, params):
@@ -111,8 +110,7 @@ class TestResidualCheck:
         mesh = build_device_mesh(DeviceConfig(nx=9, ny=7))
         coeffs = assemble_fv_coefficients(mesh)
         # constant-zero field with n exactly cancelling the doping: no flux, no charge
-        neutral = Snapshot(v_gate=0.0, phi=np.zeros(mesh.n_nodes), n=mesh.net_doping.copy(),
-                           net_charge=np.zeros(mesh.n_nodes))
+        neutral = Snapshot(v_gate=0.0, phi=np.zeros(mesh.n_nodes), n=mesh.net_doping.copy())
         assert residual_check(mesh, coeffs, params, neutral) == 0.0
 
 

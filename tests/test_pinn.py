@@ -205,23 +205,15 @@ class TestSolveBias:
 
 @pytest.mark.slow
 class TestSweepSolve:
-    def test_reports_and_probe(self, small_problem, small_sweep):
-        biases = [0.0, 0.375, 0.75]
-        result = sweep_solve(small_problem, biases, oracle=small_sweep,
-                             opts=SolveOptions(epochs=1500, seed=42))
-        assert len(result.reports) == 3
-        assert not result.failures
-        assert result.probe_table.shape == (3, 5)
-        assert all(r is not None for r in result.reports)
-
-    def test_sweep_equals_solo(self, small_problem, small_sweep):
+    def test_sweep_equals_solo(self, small_problem):
         opts = SolveOptions(epochs=300, seed=9)
         biases = [0.2, 0.6]
-        sweep = sweep_solve(small_problem, biases, oracle=small_sweep, opts=opts)
-        for v_gate, pred in zip(biases, sweep.predictions):
-            solo = solve_bias(small_problem, v_gate, opts).prediction
-            assert np.array_equal(pred.phi, solo.phi)
-            assert np.array_equal(pred.n, solo.n)
+        sweep = sweep_solve(small_problem, biases, opts)
+        for v_gate, result in zip(biases, sweep):
+            solo = solve_bias(small_problem, v_gate, opts)
+            assert np.array_equal(result.prediction.phi, solo.prediction.phi)
+            assert np.array_equal(result.prediction.n, solo.prediction.n)
+            assert np.array_equal(result.history, solo.history)
 
     def test_records_divergence(self, small_problem, monkeypatch):
         real_solve = pinn.solve_bias
@@ -232,11 +224,18 @@ class TestSweepSolve:
             return real_solve(problem, v_gate, opts)
 
         monkeypatch.setattr(pinn, "solve_bias", solve_or_diverge)
-        result = sweep_solve(small_problem, [0.2, 0.6, 0.3], opts=SolveOptions(epochs=20, seed=9))
-        assert list(result.failures) == [1]
-        assert "forced" in result.failures[1]
-        assert result.predictions[1] is None
-        assert result.predictions[0] is not None and result.predictions[2] is not None
+        results = sweep_solve(small_problem, [0.2, 0.6, 0.3], SolveOptions(epochs=20, seed=9))
+        assert isinstance(results[1], str) and "forced" in results[1]
+        assert results[0].prediction.v_gate == 0.2 and results[2].prediction.v_gate == 0.3
+
+
+class TestSweepSolveRange:
+    def test_out_of_range_bias_rejected_before_training(self, small_problem, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pinn, "solve_bias", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=r"v_gate 5.0 outside the sane \[-0.01, 1\] V range"):
+            sweep_solve(small_problem, [0.2, 5.0], SolveOptions(epochs=20, seed=9))
+        assert calls == []
 
 
 class TestEvaluateAgainst:
@@ -252,7 +251,7 @@ class TestEvaluateAgainst:
         phi = snap.phi.copy()
         phi[1234] += 0.003 * scale
         from wirepinn.oracle import Snapshot
-        pred = Snapshot(v_gate=snap.v_gate, phi=phi, n=snap.n, net_charge=snap.net_charge)
+        pred = Snapshot(v_gate=snap.v_gate, phi=phi, n=snap.n)
         report = evaluate_against(pred, snap)
         assert report.max_phi_err_pct == pytest.approx(0.3, rel=1e-9)
 
