@@ -3,6 +3,7 @@ import pytest
 
 from wirepinn import autodiff as ad
 from wirepinn import pinn, surrogate
+from wirepinn.mesh import nearest_node
 from wirepinn.pinn import (
     DivergedError,
     PinnProblem,
@@ -205,6 +206,22 @@ class TestSolveBias:
 
 @pytest.mark.slow
 class TestSweepSolve:
+    def test_reports_and_probe(self, small_problem, small_sweep):
+        biases = [0.0, 0.375, 0.75]
+        results = sweep_solve(small_problem, biases, SolveOptions(epochs=1500, seed=42))
+        assert len(results) == 3
+        assert not any(isinstance(r, str) for r in results)
+        probe = nearest_node(small_problem.mesh, 0.0405, 0.002)
+        reports, probe_rows = [], []
+        for v, result in zip(biases, results):
+            snap = small_sweep.snapshot_at(v)
+            pred = result.prediction
+            reports.append(evaluate_against(pred, snap, gate_nodes=small_problem.gate_nodes))
+            probe_rows.append((v, snap.phi[probe], pred.phi[probe], snap.n[probe], pred.n[probe]))
+        assert all(r is not None for r in reports)
+        assert all(r.max_phi_err_pct >= 0.0 and r.max_logn_err_pct >= 0.0 for r in reports)
+        assert np.array(probe_rows).shape == (3, 5)
+
     def test_sweep_equals_solo(self, small_problem):
         opts = SolveOptions(epochs=300, seed=9)
         biases = [0.2, 0.6]
