@@ -1,10 +1,10 @@
 """Operator entry point: generate data, fit the surrogate, solve biases.
 
-Subcommands: generate, fit-lr, solve, sweep, report, check.  Every
-command is reproducible: the same config, seed and OpenBLAS thread count
-produce byte-identical data products (no timestamps in payloads).  The
-WIREPINN_SEED environment variable overrides any seed given on the
-command line.
+Subcommands: generate, fit-lr, solve, report, check.  ``solve`` takes
+one gate bias or a comma list of them and solves each in turn, writing
+the same products for every bias.  Every command is reproducible: the
+same config, seed and OpenBLAS thread count produce byte-identical data
+products (no timestamps in payloads).
 
 Exit codes: 0 ok, 1 configuration error, 2 oracle failure, 3 solver
 divergence, 4 self-test failure.
@@ -52,16 +52,6 @@ def _device_config(args) -> DeviceConfig:
     return DeviceConfig()
 
 
-def _seed(args) -> int:
-    env = os.environ.get("WIREPINN_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"WIREPINN_SEED must be an integer, got {env!r}") from None
-    return args.seed
-
-
 def cmd_generate(args) -> int:
     config = _device_config(args)
     mesh = build_device_mesh(config)
@@ -94,18 +84,44 @@ def cmd_fit_lr(args) -> int:
 
     stats = surrogate.scatter_stats(sur, dataset, mesh.gate_nodes())
     scatter_csv = os.path.splitext(args.out)[0] + "_scatter.csv"
-    preds = np.concatenate([
-        surrogate.predict_phi(sur, surrogate.normalize_density(s.n)) for s in dataset.snapshots
-    ])
     truth = np.concatenate([s.phi for s in dataset.snapshots])
     vg = np.repeat(dataset.biases, mesh.n_nodes)
     dataset_io.write_csv(scatter_csv, ["v_gate", "phi_oracle_V", "phi_predicted_V"],
-                         [vg, truth, preds])
+                         [vg, truth, stats["predictions"].ravel()])
     print(f"fitted on first {args.cutoff} snapshots "
           f"(V_G {sur.meta.bias_min:g}..{sur.meta.bias_max:g} V) -> {args.out}")
     print(f"R2 over all snapshots: {stats['r2']:.8f}; max |dphi| {stats['max_abs_err']*1e3:.4f} mV; "
           f"max gate-mean error {np.abs(stats['gate_err']).max()*1e3:.4f} mV")
     return EXIT_OK
+
+
+def _comma_list(text: str, flag: str, convert) -> list:
+    values = []
+    for item in text.split(","):
+        try:
+            values.append(convert(item))
+        except ValueError:
+            raise ConfigError(f"{flag}: bad value {item!r}") from None
+    return values
+
+
+def _biases(text: str) -> list:
+    """The ``--vg`` list.  A bias's files are named by ``f"{v:g}"``; two
+    biases that share that name would train twice and overwrite each other."""
+    seen = {}
+    for v in _comma_list(text, "--vg", float):
+        name = f"{v:g}"
+        if name in seen:
+            raise ConfigError(f"--vg: biases {seen[name]!r} and {v!r} both name their files vg{name}_*")
+        seen[name] = v
+    return list(seen.values())
+
+
+def _epoch_study(text) -> list:
+    study = sorted(_comma_list(text, "--epoch-study", int)) if text else []
+    if study and study[0] < 1:
+        raise ConfigError(f"--epoch-study: budget {study[0]} is below 1")
+    return study
 
 
 def _load_problem(args):
@@ -118,94 +134,56 @@ def _load_problem(args):
     )
 
 
-def _solve_options(args, checkpoints=()) -> pinn.SolveOptions:
-    return pinn.SolveOptions(
-        epochs=args.epochs, seed=_seed(args),
-        checkpoints=tuple(checkpoints), log_every=args.log_every,
-    )
-
-
-def _score(problem, snapshot, oracle_snap, history, epochs: int) -> pinn.ErrorReport:
-    """A prediction's error report, with the best losses within its epoch budget."""
-    return pinn.evaluate_against(snapshot, oracle_snap, gate_nodes=problem.gate_nodes, epochs=epochs,
-                                 losses=pinn.best_losses_within(history, epochs))
-
-
-def _write_prediction(problem, snapshot, out_dir: str) -> None:
-    """One solved bias's prediction as ``vg<bias>_prediction.txt``."""
-    pred_ds = SweepDataset(snapshots=[snapshot],
-                           mesh_fingerprint=problem.mesh.fingerprint(), params=problem.params)
-    dataset_io.write_sweep(pred_ds, problem.mesh,
-                           os.path.join(out_dir, f"vg{snapshot.v_gate:g}_prediction.txt"))
-
-
 def cmd_solve(args) -> int:
+    biases = _biases(args.vg)
+    study = _epoch_study(args.epoch_study)
+    epochs = study[-1] if study else args.epochs
     problem = _load_problem(args)
     mesh = problem.mesh
     oracle_ds = dataset_io.read_sweep(args.sweep, mesh) if args.sweep else None
-    study = sorted(int(e) for e in args.epoch_study.split(",")) if args.epoch_study else []
-    if study:
-        args.epochs = max(study)
-    os.makedirs(args.out, exist_ok=True)
-
-    prefix = os.path.join(args.out, f"vg{args.vg:g}")
-    opts = _solve_options(args, checkpoints=study)
-    try:
-        result = pinn.solve_bias(problem, args.vg, opts)
-    except pinn.DivergedError as exc:
-        if exc.history is not None and len(exc.history):
-            dataset_io.write_loss_history(exc.history, prefix + "_loss_history.csv")
-        raise
-    dataset_io.write_loss_history(result.history, prefix + "_loss_history.csv")
-    _write_prediction(problem, result.prediction, args.out)
-    print(f"V_G={args.vg} V: {result.epochs} epochs in {result.wall_time_s/60:.1f} min, "
-          f"final losses l1={result.history[-1,2]:.3e} l2={result.history[-1,3]:.3e}")
-
-    if oracle_ds is not None:
-        oracle_snap = oracle_ds.snapshot_at(args.vg)
-        if oracle_snap is not None:
-            snaps = dict(result.checkpoints) if study else {result.epochs: result.prediction}
-            for epoch_count, snap in sorted(snaps.items()):
-                report = _score(problem, snap, oracle_snap, result.history, epoch_count)
-                suffix = f"_report_{epoch_count}.txt" if study else "_report.txt"
-                dataset_io.write_report(report, mesh, prefix + suffix)
-                print(f"  epochs={epoch_count}: max phi err {report.max_phi_err_pct:.4f}%, "
-                      f"max log-n err {report.max_logn_err_pct:.4f}%, "
-                      f"V_G'={report.v_gate_extracted:.5f} V")
-        else:
-            logger.warning("no oracle snapshot at V_G=%g; skipping error report", args.vg)
-    if not result.prediction.converged:
-        logger.warning("best total loss %.3e above the accept_loss bound %.1e",
-                       result.best_loss, pinn.ACCEPT_LOSS)
-    return EXIT_OK
-
-
-def cmd_sweep(args) -> int:
-    problem = _load_problem(args)
-    mesh = problem.mesh
-    oracle_ds = dataset_io.read_sweep(args.sweep, mesh) if args.sweep else None
-    biases = [float(b) for b in args.biases.split(",")]
-    os.makedirs(args.out, exist_ok=True)
-
-    results = pinn.sweep_solve(problem, biases, _solve_options(args))
     probe = nearest_node(mesh, args.probe_x, args.probe_y)
+    os.makedirs(args.out, exist_ok=True)
+
+    opts = pinn.SolveOptions(epochs=epochs, seed=args.seed,
+                             checkpoints=tuple(study), log_every=args.log_every)
+    results = pinn.sweep_solve(problem, biases, opts)
     probe_rows, scatter = [], []
     for v, result in zip(biases, results):
-        if isinstance(result, str):
-            print(f"bias {v:g} V FAILED: {result}", file=sys.stderr)
+        prefix = os.path.join(args.out, f"vg{v:g}")
+        if result.history is not None and len(result.history):  # a divergence keeps its partial one
+            dataset_io.write_loss_history(result.history, prefix + "_loss_history.csv")
+        if isinstance(result, pinn.DivergedError):
+            print(f"solver diverged: {result}", file=sys.stderr)
             continue
         pred = result.prediction
-        _write_prediction(problem, pred, args.out)
-        snap = oracle_ds.snapshot_at(v) if oracle_ds is not None else None
-        if snap is None:
+        dataset_io.write_sweep(SweepDataset(snapshots=[pred], mesh_fingerprint=mesh.fingerprint(),
+                                            params=problem.params),
+                               mesh, prefix + "_prediction.txt")
+        print(f"V_G={v:g} V: {result.epochs} epochs in {result.wall_time_s/60:.1f} min, "
+              f"final losses l1={result.history[-1,2]:.3e} l2={result.history[-1,3]:.3e}")
+        if not pred.converged:
+            logger.warning("V_G=%g V: best total loss %.3e above the accept_loss bound %.1e",
+                           v, result.best_loss, pinn.ACCEPT_LOSS)
+        if oracle_ds is None:
             continue
-        report = _score(problem, pred, snap, result.history, result.epochs)
-        dataset_io.write_report(report, mesh, os.path.join(args.out, f"report_vg{v:g}.txt"))
-        print(f"V_G={v:g} V: max phi err {report.max_phi_err_pct:.4f}%, "
-              f"max log-n err {report.max_logn_err_pct:.4f}%")
+        snap = oracle_ds.snapshot_at(v)
+        if snap is None:
+            logger.warning("no oracle snapshot at V_G=%g; skipping error report", v)
+            continue
+        # Each report is scored with the best losses within its own budget.
+        scored = dict(result.checkpoints) if study else {result.epochs: pred}
+        for budget, checkpoint in sorted(scored.items()):
+            report = pinn.evaluate_against(checkpoint, snap, gate_nodes=problem.gate_nodes,
+                                           epochs=budget,
+                                           losses=pinn.best_losses_within(result.history, budget))
+            suffix = f"_report_{budget}.txt" if study else "_report.txt"
+            dataset_io.write_report(report, mesh, prefix + suffix)
+            print(f"  epochs={budget}: max phi err {report.max_phi_err_pct:.4f}%, "
+                  f"max log-n err {report.max_logn_err_pct:.4f}%, "
+                  f"V_G'={report.v_gate_extracted:.5f} V")
         probe_rows.append((v, snap.phi[probe], pred.phi[probe], snap.n[probe], pred.n[probe]))
         scatter.append(np.stack([snap.phi, pred.phi, snap.n, pred.n]))
-    n_failed = sum(isinstance(r, str) for r in results)
+    n_failed = sum(isinstance(r, pinn.DivergedError) for r in results)
     print(f"wrote {len(biases) - n_failed} of {len(biases)} predictions to {args.out}")
 
     if probe_rows:
@@ -286,26 +264,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output model file")
     p.set_defaults(func=cmd_fit_lr)
 
-    for name in ("solve", "sweep"):
-        p = sub.add_parser(name, help=f"{name} gate bias(es) with the self-supervised solver")
-        p.add_argument("--config", help="device config file")
-        p.add_argument("--surrogate", required=True)
-        p.add_argument("--sweep", help="oracle sweep file for error reports")
-        p.add_argument("--epochs", type=int, default=200_000)
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--w1", type=float, default=1.0, help="boundary-loss weight")
-        p.add_argument("--w2", type=float, default=1.0, help="density-consistency loss weight")
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--log-every", type=int, default=0)
-        if name == "solve":
-            p.add_argument("--vg", type=float, required=True)
-            p.add_argument("--epoch-study", help="comma list of epoch counts to report, e.g. 30000,100000,200000")
-            p.set_defaults(func=cmd_solve)
-        else:
-            p.add_argument("--biases", required=True, help="comma list of gate biases [V]")
-            p.add_argument("--probe-x", type=float, default=0.0405)
-            p.add_argument("--probe-y", type=float, default=0.002)
-            p.set_defaults(func=cmd_sweep)
+    p = sub.add_parser("solve", help="solve one or more gate biases with the self-supervised solver")
+    p.add_argument("--config", help="device config file")
+    p.add_argument("--surrogate", required=True)
+    p.add_argument("--sweep", help="oracle sweep file for error reports")
+    p.add_argument("--vg", required=True, help="gate bias [V], or a comma list solved in turn")
+    p.add_argument("--epochs", type=int, default=200_000)
+    p.add_argument("--epoch-study", help="comma list of epoch counts to report, e.g. 30000,100000,200000")
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--w1", type=float, default=1.0, help="boundary-loss weight")
+    p.add_argument("--w2", type=float, default=1.0, help="density-consistency loss weight")
+    p.add_argument("--probe-x", type=float, default=0.0405, help="probe-trace x [um]")
+    p.add_argument("--probe-y", type=float, default=0.002, help="probe-trace y [um]")
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--log-every", type=int, default=0)
+    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("report", help="summarize sweep/report/loss-history files")
     p.add_argument("files", nargs="+")
@@ -334,9 +307,6 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"oracle failure: {exc}", file=sys.stderr)
         return EXIT_ORACLE
-    except pinn.DivergedError as exc:
-        print(f"solver diverged: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
 
 
 if __name__ == "__main__":

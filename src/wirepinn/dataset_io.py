@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import os
 import struct
-import tempfile
 from itertools import repeat
 
 import numpy as np
@@ -78,7 +77,10 @@ def _node_columns(mesh: TensorMesh) -> list:
 def _atomic_write(path, data: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".wirepinn-tmp-")
+    # os.open applies the umask to 0o666, as open(path, "w") does;
+    # mkstemp would create the file 0600, a mode os.replace keeps.
+    tmp = os.path.join(directory, f".wirepinn-tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

@@ -384,9 +384,9 @@ def sweep_solve(problem: PinnProblem, biases, opts: SolveOptions | None = None) 
     """One ``solve_bias`` per bias, in order, each with a fresh generator.
 
     Returns, per bias, its ``PinnResult`` or, if the loss diverged, the
-    failure message; the rest of the sweep continues past a divergence.
-    Every bias is checked against the solvable range before any is
-    trained.  Each result is bitwise equal to ``solve_bias`` at the same
+    ``DivergedError`` itself, which keeps the step and the partial loss
+    history; the rest of the sweep continues past a divergence.  Every
+    bias is checked against the solvable range before any is trained.  Each result is bitwise equal to ``solve_bias`` at the same
     bias and options, so it does not depend on the other biases.  The
     bits do depend on the OpenBLAS thread count (``OPENBLAS_NUM_THREADS``),
     which changes the summation order of the matrix products.  This only
@@ -401,5 +401,5 @@ def sweep_solve(problem: PinnProblem, biases, opts: SolveOptions | None = None) 
         try:
             results.append(solve_bias(problem, v, opts))
         except DivergedError as exc:
-            results.append(str(exc))
+            results.append(exc)
     return results

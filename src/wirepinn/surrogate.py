@@ -138,8 +138,9 @@ def scatter_stats(surrogate: LinearSurrogate, dataset, gate_nodes=None) -> dict:
     """Predicted-vs-oracle statistics over a whole sweep.
 
     Returns R^2 over all nodes and snapshots, the per-snapshot max
-    absolute potential error, and (if gate nodes are given) the error of
-    the mean gate potential against each snapshot's bias.
+    absolute potential error, the predicted potentials (one row per
+    snapshot) and (if gate nodes are given) the error of the mean gate
+    potential against each snapshot's bias.
     """
     preds = np.stack([predict_phi(surrogate, normalize_density(s.n)) for s in dataset.snapshots])
     truth = np.stack([s.phi for s in dataset.snapshots])
@@ -151,6 +152,7 @@ def scatter_stats(surrogate: LinearSurrogate, dataset, gate_nodes=None) -> dict:
         "max_abs_err": float(np.max(np.abs(resid))),
         "per_snapshot_max_err": np.max(np.abs(resid), axis=1),
         "biases": dataset.biases,
+        "predictions": preds,
     }
     if gate_nodes is not None:
         gate_mean = preds[:, gate_nodes].mean(axis=1)

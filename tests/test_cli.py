@@ -1,9 +1,7 @@
-import os
-
 import numpy as np
 import pytest
 
-from wirepinn import checks, dataset_io as dio
+from wirepinn import checks, dataset_io as dio, pinn
 from wirepinn.cli import main
 from wirepinn.mesh import build_device_mesh, load_device_config, nearest_node
 
@@ -124,22 +122,6 @@ class TestSolveAndSweep:
             assert scalars["epochs"] == epochs
         capsys.readouterr()
 
-    def test_seed_env_override_changes_run(self, workdir, tmp_path, capsys):
-        out_a = tmp_path / "a"
-        out_b = tmp_path / "b"
-        args = ["solve", "--config", str(workdir["cfg"]), "--surrogate", str(workdir["surrogate"]),
-                "--vg", "0.2", "--epochs", "50"]
-        os.environ["WIREPINN_SEED"] = "123"
-        try:
-            assert main(args + ["--out", str(out_a)]) == 0
-        finally:
-            del os.environ["WIREPINN_SEED"]
-        assert main(args + ["--out", str(out_b), "--seed", "123"]) == 0
-        a = dio.read_loss_history(out_a / "vg0.2_loss_history.csv")
-        b = dio.read_loss_history(out_b / "vg0.2_loss_history.csv")
-        assert np.array_equal(a, b)
-        capsys.readouterr()
-
     def test_reproducible_byte_identical(self, workdir, tmp_path, capsys):
         outs = []
         for name in ("r1", "r2"):
@@ -161,12 +143,12 @@ class TestSolveAndSweep:
         best = history[:, 4].min()
         assert best > 1e-6 and best < history[-1, 4]  # best and last differ here
         messages = [r.getMessage() for r in caplog.records if "accept_loss" in r.getMessage()]
-        assert messages == [f"best total loss {best:.3e} above the accept_loss bound 1.0e-06"]
+        assert messages == [f"V_G=0.2 V: best total loss {best:.3e} above the accept_loss bound 1.0e-06"]
 
     def test_sweep_command(self, workdir, tmp_path, capsys):
         out = tmp_path / "sweepdir"
-        rc = main(["sweep", "--config", str(workdir["cfg"]), "--surrogate", str(workdir["surrogate"]),
-                   "--sweep", str(workdir["sweep"]), "--biases", "0.15,0.6",
+        rc = main(["solve", "--config", str(workdir["cfg"]), "--surrogate", str(workdir["surrogate"]),
+                   "--sweep", str(workdir["sweep"]), "--vg", "0.15,0.6",
                    "--epochs", "500", "--out", str(out)])
         assert rc == 0
         mesh = build_device_mesh(load_device_config(workdir["cfg"]))
@@ -174,7 +156,7 @@ class TestSolveAndSweep:
         oracle = dio.read_sweep(workdir["sweep"], mesh)
         expected_probe, expected_scatter = [], []
         for v in (0.15, 0.6):
-            scalars, per_node = dio.read_report(out / f"report_vg{v:g}.txt")
+            scalars, per_node = dio.read_report(out / f"vg{v:g}_report.txt")
             assert scalars["v_gate"] == v and scalars["epochs"] == 500
             assert per_node.shape == (mesh.n_nodes, 2)
             pred = dio.read_sweep(out / f"vg{v:g}_prediction.txt", mesh).snapshots[0]
@@ -202,7 +184,7 @@ class TestSolveAndSweep:
         for name, extra, biases in (("none", [], (0.15, 0.6)),
                                     ("offgrid", ["--sweep", str(workdir["sweep"])], (0.1, 0.123))):
             out = tmp_path / name
-            rc = main(["sweep", *common, *extra, "--biases", ",".join(map(str, biases)),
+            rc = main(["solve", *common, *extra, "--vg", ",".join(map(str, biases)),
                        "--out", str(out)])
             assert rc == 0
             for v in biases:
@@ -214,6 +196,54 @@ class TestSolveAndSweep:
         assert ((solo / "vg0.15_prediction.txt").read_bytes()
                 == (tmp_path / "none" / "vg0.15_prediction.txt").read_bytes())
         capsys.readouterr()
+
+    def test_divergence_writes_partial_history_and_continues(self, workdir, tmp_path, capsys,
+                                                             monkeypatch):
+        real_solve = pinn.solve_bias
+        partial = np.column_stack([np.arange(3), np.full(3, 1e-3), np.ones(3), np.ones(3), np.ones(3)])
+
+        def solve_or_diverge(problem, v_gate, opts):
+            if v_gate == 0.3:
+                raise pinn.DivergedError(f"forced at V_G={v_gate}", step=3, history=partial)
+            return real_solve(problem, v_gate, opts)
+
+        monkeypatch.setattr(pinn, "solve_bias", solve_or_diverge)
+        out = tmp_path / "diverged"
+        rc = main(["solve", "--config", str(workdir["cfg"]), "--surrogate", str(workdir["surrogate"]),
+                   "--sweep", str(workdir["sweep"]), "--vg", "0.15,0.3,0.6",
+                   "--epochs", "20", "--out", str(out)])
+        assert rc == 3
+        assert "solver diverged: forced at V_G=0.3" in capsys.readouterr().err
+        assert np.array_equal(dio.read_loss_history(out / "vg0.3_loss_history.csv"), partial)
+        assert not (out / "vg0.3_prediction.txt").exists()
+        for v in (0.15, 0.6):  # solved and written on both sides of the divergence
+            assert len(dio.read_loss_history(out / f"vg{v:g}_loss_history.csv")) == 20
+            assert dio.read_sweep(out / f"vg{v:g}_prediction.txt").snapshots[0].v_gate == v
+            assert dio.read_report(out / f"vg{v:g}_report.txt")[0]["v_gate"] == v
+        probe = (out / "probe_trace.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in probe[1:]] == ["0.15", "0.6"]
+
+
+class TestSolveInput:
+    """Bad --vg / --epoch-study values are rejected before any training."""
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--vg", "0.3", "--epoch-study", "0,-5,20"], "budget -5 is below 1"),
+        (["--vg", "0.3", "--epoch-study", "20,0"], "budget 0 is below 1"),
+        (["--vg", "0.15,0.15"], "biases 0.15 and 0.15"),
+        (["--vg", "0.1500001,0.1500002"], "biases 0.1500001 and 0.1500002"),
+        (["--vg", "0.1,abc"], "bad value 'abc'"),
+    ], ids=["negative-budget", "zero-budget", "repeated-bias", "colliding-file-names", "not-a-number"])
+    def test_rejected_before_training(self, workdir, tmp_path, capsys, monkeypatch, flags, named):
+        calls = []
+        monkeypatch.setattr(pinn, "solve_bias", lambda *args: calls.append(args))
+        out = tmp_path / "never"
+        rc = main(["solve", "--config", str(workdir["cfg"]), "--surrogate", str(workdir["surrogate"]),
+                   *flags, "--epochs", "20", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and named in err
+        assert calls == [] and not out.exists()
 
 
 class TestReport:

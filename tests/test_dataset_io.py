@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -193,6 +196,15 @@ class TestHistoryAndCsv:
         dio.write_sweep(sweep, mesh, tmp_path / "s.txt")
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".wirepinn-tmp-")]
         assert not leftovers
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_written_file_mode_follows_umask(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            dio.write_csv(tmp_path / "t.csv", ["x"], [np.array([1.0])])
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(tmp_path / "t.csv").st_mode) == mode
 
 
 # Every float64, including -0.0, subnormals, +-max, infinities and NaN.

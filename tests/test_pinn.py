@@ -210,7 +210,7 @@ class TestSweepSolve:
         biases = [0.0, 0.375, 0.75]
         results = sweep_solve(small_problem, biases, SolveOptions(epochs=1500, seed=42))
         assert len(results) == 3
-        assert not any(isinstance(r, str) for r in results)
+        assert not any(isinstance(r, DivergedError) for r in results)
         probe = nearest_node(small_problem.mesh, 0.0405, 0.002)
         reports, probe_rows = [], []
         for v, result in zip(biases, results):
@@ -242,7 +242,8 @@ class TestSweepSolve:
 
         monkeypatch.setattr(pinn, "solve_bias", solve_or_diverge)
         results = sweep_solve(small_problem, [0.2, 0.6, 0.3], SolveOptions(epochs=20, seed=9))
-        assert isinstance(results[1], str) and "forced" in results[1]
+        assert isinstance(results[1], DivergedError) and "forced" in str(results[1])
+        assert results[1].step == 3 and np.array_equal(results[1].history, np.zeros((3, 5)))
         assert results[0].prediction.v_gate == 0.2 and results[2].prediction.v_gate == 0.3
 
 
