@@ -2,7 +2,11 @@
 
 Subcommands: generate, fit-lr, solve, report, check.  ``solve`` takes
 one gate bias or a comma list of them and solves each in turn, writing
-the same products for every bias.  Every command is reproducible: the
+the same products for every bias.  Its ``--epochs`` is one budget or a
+comma list of them: training runs to the largest, and each budget is
+scored against the ``--sweep`` oracle in its own report, as if the run
+had stopped there.  ``report`` summarizes a sweep, report or loss-history
+file, told apart by its first line.  Every command is reproducible: the
 same config, seed and OpenBLAS thread count produce byte-identical data
 products (no timestamps in payloads).
 
@@ -117,11 +121,15 @@ def _biases(text: str) -> list:
     return list(seen.values())
 
 
-def _epoch_study(text) -> list:
-    study = sorted(_comma_list(text, "--epoch-study", int)) if text else []
-    if study and study[0] < 1:
-        raise ConfigError(f"--epoch-study: budget {study[0]} is below 1")
-    return study
+def _budgets(text: str, sweep) -> list:
+    """The ``--epochs`` budgets, sorted and distinct.  Training runs to the
+    largest; the others only add reports, so a list needs an oracle."""
+    budgets = sorted(set(_comma_list(text, "--epochs", int)))
+    if budgets[0] < 1:
+        raise ConfigError(f"--epochs: budget {budgets[0]} is below 1")
+    if len(budgets) > 1 and not sweep:
+        raise ConfigError("--epochs: a list of budgets is scored only against a --sweep oracle")
+    return budgets
 
 
 def _load_problem(args):
@@ -136,16 +144,15 @@ def _load_problem(args):
 
 def cmd_solve(args) -> int:
     biases = _biases(args.vg)
-    study = _epoch_study(args.epoch_study)
-    epochs = study[-1] if study else args.epochs
+    budgets = _budgets(args.epochs, args.sweep)
     problem = _load_problem(args)
     mesh = problem.mesh
     oracle_ds = dataset_io.read_sweep(args.sweep, mesh) if args.sweep else None
     probe = nearest_node(mesh, args.probe_x, args.probe_y)
     os.makedirs(args.out, exist_ok=True)
 
-    opts = pinn.SolveOptions(epochs=epochs, seed=args.seed,
-                             checkpoints=tuple(study), log_every=args.log_every)
+    opts = pinn.SolveOptions(epochs=budgets[-1], seed=args.seed,
+                             checkpoints=tuple(budgets), log_every=args.log_every)
     results = pinn.sweep_solve(problem, biases, opts)
     probe_rows, scatter = [], []
     for v, result in zip(biases, results):
@@ -171,12 +178,11 @@ def cmd_solve(args) -> int:
             logger.warning("no oracle snapshot at V_G=%g; skipping error report", v)
             continue
         # Each report is scored with the best losses within its own budget.
-        scored = dict(result.checkpoints) if study else {result.epochs: pred}
-        for budget, checkpoint in sorted(scored.items()):
-            report = pinn.evaluate_against(checkpoint, snap, gate_nodes=problem.gate_nodes,
-                                           epochs=budget,
+        for budget in budgets:
+            report = pinn.evaluate_against(result.checkpoints[budget], snap,
+                                           gate_nodes=problem.gate_nodes, epochs=budget,
                                            losses=pinn.best_losses_within(result.history, budget))
-            suffix = f"_report_{budget}.txt" if study else "_report.txt"
+            suffix = f"_report_{budget}.txt" if len(budgets) > 1 else "_report.txt"
             dataset_io.write_report(report, mesh, prefix + suffix)
             print(f"  epochs={budget}: max phi err {report.max_phi_err_pct:.4f}%, "
                   f"max log-n err {report.max_logn_err_pct:.4f}%, "
@@ -200,10 +206,6 @@ def cmd_solve(args) -> int:
 
 def cmd_report(args) -> int:
     for path in args.files:
-        if path.endswith(".csv"):
-            data = dataset_io.read_loss_history(path)
-            print(f"{path}: {len(data)} rows; final lr={data[-1,1]:g} total={data[-1,4]:.3e}")
-            continue
         with open(path, "r", encoding="utf-8") as fh:
             head = fh.readline().rstrip("\n")
         if head == dataset_io.REPORT_HEADER:
@@ -221,6 +223,9 @@ def cmd_report(args) -> int:
             print(f"{path}: {len(ds)} snapshots x {n_nodes} nodes, "
                   f"V_G {ds.biases[0]:g}..{ds.biases[-1]:g} V, "
                   f"constants n_c={ds.params.n_c:g} v_t={ds.params.v_t:g} phi_ref={ds.params.phi_ref:g}")
+        elif head == dataset_io.LOSS_HISTORY_HEADER:
+            data = dataset_io.read_loss_history(path)
+            print(f"{path}: {len(data)} rows; final lr={data[-1,1]:g} total={data[-1,4]:.3e}")
         else:
             print(f"{path}: unrecognized file", file=sys.stderr)
             return EXIT_CONFIG
@@ -269,8 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surrogate", required=True)
     p.add_argument("--sweep", help="oracle sweep file for error reports")
     p.add_argument("--vg", required=True, help="gate bias [V], or a comma list solved in turn")
-    p.add_argument("--epochs", type=int, default=200_000)
-    p.add_argument("--epoch-study", help="comma list of epoch counts to report, e.g. 30000,100000,200000")
+    p.add_argument("--epochs", default="200000",
+                   help="training epochs, or a comma list of budgets each scored in its own report "
+                        "(needs --sweep), e.g. 30000,100000,200000")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--w1", type=float, default=1.0, help="boundary-loss weight")
     p.add_argument("--w2", type=float, default=1.0, help="density-consistency loss weight")
@@ -280,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log-every", type=int, default=0)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("report", help="summarize sweep/report/loss-history files")
+    p = sub.add_parser("report", help="summarize sweep, report and loss-history files")
     p.add_argument("files", nargs="+")
     p.set_defaults(func=cmd_report)
 

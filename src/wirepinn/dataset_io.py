@@ -38,6 +38,7 @@ __all__ = [
 
 SWEEP_HEADER = "# wirepinn sweep v1"
 REPORT_HEADER = "# wirepinn report v1"
+LOSS_HISTORY_HEADER = "# step lr loss_boundary loss_fd total"
 MODEL_MAGIC = b"WPNN"
 MODEL_VERSION = 2
 
@@ -367,20 +368,18 @@ def read_report(path):
 
 def write_loss_history(history: np.ndarray, path) -> None:
     """Loss history rows: step lr loss_boundary loss_fd total."""
-    lines = ["# step lr loss_boundary loss_fd total"]
+    lines = [LOSS_HISTORY_HEADER]
     lines += _rows([history[:, 0].astype(np.int64), *history[:, 1:5].T], " ")
     lines.append("")
     _atomic_write(path, "\n".join(lines).encode())
 
 
 def read_loss_history(path) -> np.ndarray:
-    rows = []
+    """Loss history file -> (steps, 5) array."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([float(v) for v in line.split()])
+        if fh.readline().rstrip("\n") != LOSS_HISTORY_HEADER:
+            raise SweepFormatError(f"{path}:1: not a wirepinn loss history file")
+        rows = [[float(v) for v in line.split()] for line in fh if line.strip()]
     return np.array(rows)
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "fermi_half_deriv",
     "fermi_half_quadrature",
     "inverse_fermi_half",
-    "reference_from_density",
 ]
 
 _GAMMA_3_2 = 0.5 * math.sqrt(math.pi)
@@ -189,8 +188,3 @@ def default_params(n_c: float = 2.86e19, v_t: float = 0.025852, phi_ref: float =
     low-bias snapshots then carry no space-charge response at all.
     """
     return SemiconductorParams(n_c=n_c, v_t=v_t, phi_ref=phi_ref)
-
-
-def reference_from_density(n_ref: float, n_c: float = 2.86e19, v_t: float = 0.025852) -> float:
-    """phi_ref such that phi = 0 corresponds to density n_ref."""
-    return -v_t * inverse_fermi_half(n_ref / n_c)

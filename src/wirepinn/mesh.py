@@ -29,7 +29,6 @@ import numpy as np
 __all__ = [
     "CONTACT_DRAIN",
     "CONTACT_GATE",
-    "CONTACT_NAMES",
     "CONTACT_NONE",
     "CONTACT_SOURCE",
     "ConfigError",
@@ -56,7 +55,6 @@ CONTACT_SOURCE = 2
 CONTACT_DRAIN = 3
 
 REGION_NAMES = {SILICON: "Si", OXIDE: "Ox"}
-CONTACT_NAMES = {CONTACT_NONE: "-", CONTACT_GATE: "G", CONTACT_SOURCE: "S", CONTACT_DRAIN: "D"}
 
 Q_COULOMB = 1.602176634e-19  # elementary charge [C]
 EPS0_F_PER_CM = 8.8541878128e-14  # vacuum permittivity [F/cm]

@@ -30,7 +30,8 @@ from . import autodiff as ad
 from . import fermi
 from .mesh import TensorMesh
 from .oracle import Snapshot
-from .surrogate import DENSITY_OFFSET, DENSITY_SCALE, LinearSurrogate, denormalize_density, predict_phi
+from .surrogate import (DENSITY_SCALE, LinearSurrogate, denormalize_density, normalize_density,
+                        predict_phi)
 
 __all__ = [
     "DivergedError",
@@ -146,7 +147,7 @@ class SolveOptions:
     epochs: int = 200_000
     seed: int = 42
     arch: str = "dense"            # the only generator; kept because perfbench/stage.py passes it
-    checkpoints: tuple = ()        # epoch counts at which to snapshot the prediction
+    checkpoints: tuple = ()        # epoch counts at which to snapshot the prediction; the last always is
     log_every: int = 0             # 0 disables progress logging
 
     def __post_init__(self):
@@ -178,8 +179,7 @@ class ErrorReport:
 class PinnResult:
     prediction: Snapshot           # fields of the best-loss state in the budget
     history: np.ndarray            # (steps, 5): step, lr, loss1, loss2, total
-    checkpoints: dict              # epoch budget -> Snapshot (best state within it)
-    seed: int
+    checkpoints: dict              # epoch budget -> Snapshot (best state within it), final included
     epochs: int
     wall_time_s: float
     best_loss: float = float("nan")
@@ -220,7 +220,7 @@ def _fd_residual(n_tilde, phi, params: fermi.SemiconductorParams, silicon_mask: 
     The closure is looked up through `fermi` at call time, like its
     derivative in `PinnProblem.build_losses`.
     """
-    n_fd_tilde = (fermi.electron_density(phi, params, silicon_mask) + DENSITY_OFFSET) / DENSITY_SCALE
+    n_fd_tilde = normalize_density(fermi.electron_density(phi, params, silicon_mask))
     return np.log10(n_fd_tilde) - np.log10(n_tilde), n_fd_tilde
 
 
@@ -239,12 +239,6 @@ def loss_fd(n_tilde, phi, params: fermi.SemiconductorParams, mesh: TensorMesh) -
     return float(_mean_square(_fd_residual(n_tilde, phi, params, mesh.silicon_mask())[0]))
 
 
-def _prediction_snapshot(problem: PinnProblem, n_tilde: np.ndarray, v_gate: float,
-                         converged: bool) -> Snapshot:
-    return Snapshot(v_gate=float(v_gate), phi=predict_phi(problem.surrogate, n_tilde),
-                    n=denormalize_density(n_tilde), converged=converged, residual_norm=float("nan"))
-
-
 def _check_bias(v_gate: float) -> None:
     if not (-0.01 <= v_gate <= 1.0):
         raise ValueError(f"v_gate {v_gate} outside the sane [-0.01, 1] V range")
@@ -257,10 +251,10 @@ def solve_bias(problem: PinnProblem, v_gate: float, opts: SolveOptions | None = 
     loss; potential -> Fermi closure -> consistency loss; Adam update with
     the plateau schedule.  Returns the predicted snapshot (potential from
     the surrogate, density from the generator) taken at the best-loss
-    state within the budget, the full loss history and any requested
-    intermediate checkpoints (each the best state within its own budget,
-    so a checkpoint equals a run stopped there).  Raises DivergedError if
-    the loss goes non-finite.
+    state within the budget, the full loss history and the checkpoints:
+    the final budget and any requested earlier one, each the best state
+    within its own budget, so a checkpoint equals a run stopped there.
+    Raises DivergedError if the loss goes non-finite.
     """
     opts = opts or SolveOptions()
     _check_bias(v_gate)
@@ -273,7 +267,7 @@ def solve_bias(problem: PinnProblem, v_gate: float, opts: SolveOptions | None = 
     sched = ad.PlateauScheduler(lr=LR, factor=LR_FACTOR, patience=LR_PATIENCE,
                                 threshold=LR_THRESHOLD, min_lr=LR_MIN)
 
-    want_checkpoint = set(int(c) for c in opts.checkpoints)
+    want_checkpoint = {int(c) for c in opts.checkpoints} | {epochs}
 
     # The run keeps the best-loss state: Adam occasionally takes a
     # transient excursion, and the trained state for a given epoch budget
@@ -282,9 +276,6 @@ def solve_bias(problem: PinnProblem, v_gate: float, opts: SolveOptions | None = 
     # output, so that output is all that is kept.
     best_loss = np.inf
     best_n_tilde = np.empty(problem.mesh.n_nodes)
-
-    def best_prediction(converged):
-        return _prediction_snapshot(problem, best_n_tilde, v_gate, converged)
 
     history = np.empty((epochs, 5))
     checkpoints = {}
@@ -305,19 +296,19 @@ def solve_bias(problem: PinnProblem, v_gate: float, opts: SolveOptions | None = 
         history[step] = (step, lr, float(l1), float(l2), tv)
         done = step + 1
         if done in want_checkpoint:
-            checkpoints[done] = best_prediction(converged=bool(best_loss <= ACCEPT_LOSS))
+            checkpoints[done] = Snapshot(
+                v_gate=float(v_gate), phi=predict_phi(problem.surrogate, best_n_tilde),
+                n=denormalize_density(best_n_tilde), converged=bool(best_loss <= ACCEPT_LOSS),
+                residual_norm=float("nan"))
         if opts.log_every and done % opts.log_every == 0:
             rate = done / (time.perf_counter() - t0)
             logger.info("V_G=%.4f step %d/%d lr=%.2e loss=%.3e best=%.3e %.1f epoch/s ETA %.0f s",
                         v_gate, done, epochs, lr, tv, best_loss, rate, (epochs - done) / rate)
 
-    converged = bool(best_loss <= ACCEPT_LOSS)
-    prediction = checkpoints[epochs] if epochs in checkpoints else best_prediction(converged)
     return PinnResult(
-        prediction=prediction,
+        prediction=checkpoints[epochs],
         history=history,
         checkpoints=checkpoints,
-        seed=seed,
         epochs=epochs,
         wall_time_s=time.perf_counter() - t0,
         best_loss=float(best_loss),
@@ -346,8 +337,8 @@ def evaluate_against(prediction: Snapshot, oracle: Snapshot,
     phi_scale = float(np.max(np.abs(oracle.phi)))
     phi_err = 100.0 * np.abs(prediction.phi - oracle.phi) / phi_scale
 
-    log_pred = np.log10((prediction.n + DENSITY_OFFSET) / DENSITY_SCALE)
-    log_orac = np.log10((oracle.n + DENSITY_OFFSET) / DENSITY_SCALE)
+    log_pred = np.log10(normalize_density(prediction.n))
+    log_orac = np.log10(normalize_density(oracle.n))
     log_scale = float(np.max(np.abs(log_orac)))
     logn_err = 100.0 * np.abs(log_pred - log_orac) / log_scale
 
@@ -373,7 +364,7 @@ def teacher_forced_losses(problem: PinnProblem, snapshot: Snapshot):
     loss vanishes up to surrogate error and the boundary loss equals the
     squared surrogate gate error.
     """
-    n_tilde = (snapshot.n + DENSITY_OFFSET) / DENSITY_SCALE
+    n_tilde = normalize_density(snapshot.n)
     phi = predict_phi(problem.surrogate, n_tilde)
     l1 = loss_boundary(phi, snapshot.v_gate, problem.gate_nodes)
     l2 = loss_fd(n_tilde, phi, problem.params, problem.mesh)

@@ -151,7 +151,6 @@ def scatter_stats(surrogate: LinearSurrogate, dataset, gate_nodes=None) -> dict:
         "r2": 1.0 - ss_res / ss_tot,
         "max_abs_err": float(np.max(np.abs(resid))),
         "per_snapshot_max_err": np.max(np.abs(resid), axis=1),
-        "biases": dataset.biases,
         "predictions": preds,
     }
     if gate_nodes is not None:

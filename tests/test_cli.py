@@ -115,11 +115,12 @@ class TestSolveAndSweep:
         out = tmp_path / "study"
         rc = main(["solve", "--config", str(workdir["cfg"]), "--surrogate", str(workdir["surrogate"]),
                    "--sweep", str(workdir["sweep"]), "--vg", "0.3",
-                   "--epoch-study", "100,300,600", "--epochs", "600", "--out", str(out)])
+                   "--epochs", "600,100,300", "--out", str(out)])
         assert rc == 0
         for epochs in (100, 300, 600):
             scalars, _ = dio.read_report(out / f"vg0.3_report_{epochs}.txt")
             assert scalars["epochs"] == epochs
+        assert len(dio.read_loss_history(out / "vg0.3_loss_history.csv")) == 600
         capsys.readouterr()
 
     def test_reproducible_byte_identical(self, workdir, tmp_path, capsys):
@@ -225,21 +226,25 @@ class TestSolveAndSweep:
 
 
 class TestSolveInput:
-    """Bad --vg / --epoch-study values are rejected before any training."""
+    """Bad --vg / --epochs values are rejected before any training."""
 
     @pytest.mark.parametrize("flags, named", [
-        (["--vg", "0.3", "--epoch-study", "0,-5,20"], "budget -5 is below 1"),
-        (["--vg", "0.3", "--epoch-study", "20,0"], "budget 0 is below 1"),
+        (["--vg", "0.3", "--epochs", "0,-5,20"], "budget -5 is below 1"),
+        (["--vg", "0.3", "--epochs", "20,0"], "budget 0 is below 1"),
+        (["--vg", "0.3", "--epochs", "0"], "budget 0 is below 1"),
+        (["--vg", "0.3", "--epochs", "20,abc"], "--epochs: bad value 'abc'"),
+        (["--vg", "0.3", "--epochs", "10,20"], "only against a --sweep oracle"),
         (["--vg", "0.15,0.15"], "biases 0.15 and 0.15"),
         (["--vg", "0.1500001,0.1500002"], "biases 0.1500001 and 0.1500002"),
         (["--vg", "0.1,abc"], "bad value 'abc'"),
-    ], ids=["negative-budget", "zero-budget", "repeated-bias", "colliding-file-names", "not-a-number"])
+    ], ids=["negative-budget", "zero-budget", "zero-epochs", "budget-not-a-number",
+            "budget-list-without-sweep", "repeated-bias", "colliding-file-names", "not-a-number"])
     def test_rejected_before_training(self, workdir, tmp_path, capsys, monkeypatch, flags, named):
         calls = []
         monkeypatch.setattr(pinn, "solve_bias", lambda *args: calls.append(args))
         out = tmp_path / "never"
         rc = main(["solve", "--config", str(workdir["cfg"]), "--surrogate", str(workdir["surrogate"]),
-                   *flags, "--epochs", "20", "--out", str(out)])
+                   "--epochs", "20", *flags, "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and named in err
@@ -247,17 +252,26 @@ class TestSolveInput:
 
 
 class TestReport:
-    def test_summarizes_sweep_and_reports(self, workdir, capsys):
-        rc = main(["report", str(workdir["sweep"])])
+    def test_summarizes_sweep_and_reports(self, workdir, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["solve", "--config", str(workdir["cfg"]), "--surrogate", str(workdir["surrogate"]),
+                     "--sweep", str(workdir["sweep"]), "--vg", "0.3", "--epochs", "5",
+                     "--out", str(run)]) == 0
+        capsys.readouterr()
+        rc = main(["report", str(workdir["sweep"]), str(run / "vg0.3_report.txt"),
+                   str(run / "vg0.3_loss_history.csv")])
         assert rc == 0
         out = capsys.readouterr().out
         assert "101 snapshots" in out
+        assert "epochs = 5" in out
+        assert "vg0.3_loss_history.csv: 5 rows" in out
 
-    def test_unknown_file(self, tmp_path, capsys):
+    def test_unknown_file(self, workdir, tmp_path, capsys):
         path = tmp_path / "junk.txt"
         path.write_text("hello\n")
-        assert main(["report", str(path)]) == 1
-        capsys.readouterr()
+        for unknown in (path, workdir["root"] / "sweep_probe.csv"):  # text, then a figure CSV
+            assert main(["report", str(unknown)]) == 1
+            assert capsys.readouterr().err == f"{unknown}: unrecognized file\n"
 
 
 class TestCheck:

@@ -179,6 +179,10 @@ class TestHistoryAndCsv:
         dio.write_loss_history(history, path)
         loaded = dio.read_loss_history(path)
         assert np.array_equal(loaded, history)
+        figure = tmp_path / "figure.csv"  # any other table is refused
+        dio.write_csv(figure, ["step", "total"], [history[:, 0], history[:, 4]])
+        with pytest.raises(dio.SweepFormatError, match="not a wirepinn loss history"):
+            dio.read_loss_history(figure)
 
     def test_csv_round_trip_exact(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -142,8 +142,3 @@ class TestParams:
             fermi.SemiconductorParams(n_c=-1.0, v_t=0.025, phi_ref=0.0)
         with pytest.raises(ValueError):
             fermi.SemiconductorParams(n_c=1e19, v_t=0.0, phi_ref=0.0)
-
-    def test_reference_from_density_round_trip(self, params):
-        phi_ref = fermi.reference_from_density(1e10, params.n_c, params.v_t)
-        p = fermi.SemiconductorParams(params.n_c, params.v_t, phi_ref)
-        assert fermi.electron_density(0.0, p) == pytest.approx(1e10, rel=1e-9)

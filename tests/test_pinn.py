@@ -188,6 +188,7 @@ class TestSolveBias:
         full = solve_bias(small_problem, 0.5, SolveOptions(epochs=400, seed=3, checkpoints=(250,)))
         short = solve_bias(small_problem, 0.5, SolveOptions(epochs=250, seed=3))
         assert np.array_equal(full.checkpoints[250].phi, short.prediction.phi)
+        assert sorted(full.checkpoints) == [250, 400] and full.checkpoints[400] is full.prediction
 
     def test_insane_bias_rejected(self, small_problem):
         for v_gate in (5.0, -0.02):
