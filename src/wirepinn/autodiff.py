@@ -1,10 +1,12 @@
 """Generator network, Adam optimizer and plateau schedule of the neural solver.
 
 The solver differentiates one fixed graph, so its gradient is written
-out by hand.  `GeneratorNet.forward` keeps each layer's input and ELU
-derivative, `GeneratorNet.backward` turns dL/d(output) into every
-parameter gradient, and `pinn.PinnProblem.build_losses` supplies that
-dL/d(output) from the losses.  A parameter is a `Tensor`: its ``value``
+out by hand.  `pinn.PinnProblem.build_losses` carries it from the losses
+back to the normalized density n_tilde; `pinn.solve_bias` joins it to the
+generator.  `GeneratorNet.forward` keeps each layer's input and ELU
+derivative, and `GeneratorNet.backward` turns dL/d(output) into every
+parameter gradient; dL/d(output) is dL/d(n_tilde), since n_tilde is the
+output shifted by a constant.  A parameter is a `Tensor`: its ``value``
 and the ``grad`` last set for it.
 """
 

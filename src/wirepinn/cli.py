@@ -225,7 +225,8 @@ def cmd_report(args) -> int:
                   f"constants n_c={ds.params.n_c:g} v_t={ds.params.v_t:g} phi_ref={ds.params.phi_ref:g}")
         elif head == dataset_io.LOSS_HISTORY_HEADER:
             data = dataset_io.read_loss_history(path)
-            print(f"{path}: {len(data)} rows; final lr={data[-1,1]:g} total={data[-1,4]:.3e}")
+            final = f"; final lr={data[-1, 1]:g} total={data[-1, 4]:.3e}" if len(data) else ""
+            print(f"{path}: {len(data)} rows{final}")
         else:
             print(f"{path}: unrecognized file", file=sys.stderr)
             return EXIT_CONFIG

@@ -151,6 +151,9 @@ def read_sweep(path, mesh: TensorMesh | None = None) -> SweepDataset:
                     fingerprint = parts[1]
                 elif parts[0] == "constants":
                     constants = dict(kv.split("=", 1) for kv in parts[1:])
+                    missing = sorted({"n_c", "v_t", "phi_ref"} - constants.keys())
+                    if missing:
+                        raise SweepFormatError(f"{path}:{lineno}: constants line lacks {', '.join(missing)}")
                 elif parts[0] == "biases":
                     biases = [float(v) for v in parts[1:]]
                 elif parts[0] == "snapshot" and len(parts) >= 2:
@@ -353,7 +356,7 @@ def read_report(path):
         first = fh.readline().rstrip("\n")
         if first != REPORT_HEADER:
             raise SweepFormatError(f"{path}:1: not a wirepinn report file")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -362,6 +365,8 @@ def read_report(path):
                 scalars[key.strip()] = float(val)
             else:
                 parts = line.split()
+                if len(parts) != 5:
+                    raise SweepFormatError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
                 rows.append((float(parts[3]), float(parts[4])))
     return scalars, np.array(rows)
 
@@ -375,12 +380,19 @@ def write_loss_history(history: np.ndarray, path) -> None:
 
 
 def read_loss_history(path) -> np.ndarray:
-    """Loss history file -> (steps, 5) array."""
+    """Loss history file -> (steps, 5) array; (0, 5) if it has no rows."""
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         if fh.readline().rstrip("\n") != LOSS_HISTORY_HEADER:
             raise SweepFormatError(f"{path}:1: not a wirepinn loss history file")
-        rows = [[float(v) for v in line.split()] for line in fh if line.strip()]
-    return np.array(rows)
+        for lineno, line in enumerate(fh, start=2):
+            fields = line.split()
+            if not fields:
+                continue
+            if len(fields) != 5:
+                raise SweepFormatError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
+            rows.append([float(v) for v in fields])
+    return np.array(rows).reshape(-1, 5)
 
 
 def write_csv(path, header, columns) -> None:

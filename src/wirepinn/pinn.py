@@ -12,9 +12,11 @@ many orders of magnitude and a linear-scale MSE would see everything
 below the normalization scale as zero.
 
 The graph is fixed, so its gradient is written out by hand:
-`PinnProblem.build_losses` carries dL/d(generator output) back through
-the two mean squares, the Fermi closure and the surrogate's transposed
-factors, and `autodiff.GeneratorNet.backward` takes it from there.
+`PinnProblem.build_losses` carries dL/d(n_tilde) back from the two
+losses through the mean squares, the Fermi closure and the surrogate's
+transposed factors.  `solve_bias` joins it to the generator: the
+postprocess shift passes the gradient through unchanged, and
+`autodiff.GeneratorNet.backward` takes it from there.
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ __all__ = [
     "best_losses_within",
     "evaluate_against",
     "gate_voltage",
-    "loss_boundary",
-    "loss_fd",
     "postprocess",
     "solve_bias",
     "sweep_solve",
@@ -106,27 +106,27 @@ class PinnProblem:
         if len(self.gate_nodes) == 0:
             raise ValueError("mesh has no gate contact nodes")
 
-    def weighted_total(self, l1, l2):
-        """The training objective from the boundary and consistency losses."""
-        return l1 * self.w_boundary + l2 * self.w_fd
+    def build_losses(self, n_tilde: np.ndarray, v_gate: float):
+        """The two losses of a normalized density and their gradient: (l1, l2, total, g).
 
-    def build_losses(self, net: "ad.GeneratorNet", v_gate: float):
-        """The training graph and its gradient: (l1, l2, total, n_tilde, g_raw).
-
-        ``g_raw`` is d(total)/d(raw generator output) for ``net.backward``.
-        The chain rule's factors are multiplied in one fixed order, from
-        the loss back to the generator output, one forward operation at a
-        time; regrouping them changes the bits of every solve.
+        ``l1`` is the mean squared gate-node deviation of the surrogate
+        potential from ``v_gate`` [V^2].  ``l2`` pushes that potential
+        through the density closure (region aware, so oxide nodes pin to
+        the normalization floor), normalizes it like ``n_tilde`` and
+        compares the two in log10 over all nodes.  ``g`` is
+        d(total)/d(n_tilde).  The chain rule's factors are multiplied in
+        one fixed order, from the loss back to ``n_tilde``; regrouping them
+        changes the bits of every solve.
         """
-        raw = net.forward(v_gate / V_GATE_SCALE)
-        n_tilde = postprocess(raw)
         sur = self.surrogate
         phi = predict_phi(sur, n_tilde)
         mask = self.mesh.silicon_mask()
-        r1 = _boundary_residual(phi, v_gate, self.gate_nodes)
-        r2, n_fd_tilde = _fd_residual(n_tilde, phi, self.params, mask)
-        l1, l2 = _mean_square(r1), _mean_square(r2)
-        total = self.weighted_total(l1, l2)
+        r1 = phi[self.gate_nodes] - float(v_gate)
+        # the closure is looked up through `fermi` at call time, like its derivative below
+        n_fd_tilde = normalize_density(fermi.electron_density(phi, self.params, mask))
+        r2 = np.log10(n_fd_tilde) - np.log10(n_tilde)
+        l1, l2 = np.mean(r1 * r1), np.mean(r2 * r2)
+        total = l1 * self.w_boundary + l2 * self.w_fd
 
         # d total / d r = w * 2 r / size for each mean square
         g1 = (self.w_boundary * (2.0 / r1.size)) * r1
@@ -136,10 +136,10 @@ class PinnProblem:
         np.add.at(g_phi, self.gate_nodes, g1)
         g_phi += (g2 * (1.0 / (n_fd_tilde * _LN10)) * (1.0 / DENSITY_SCALE)
                   * fermi.electron_density_deriv(phi, self.params, mask))
-        # n_tilde feeds the surrogate and the log; postprocess is a shift
-        g_raw = sur.right.T @ (sur.left.T @ g_phi)
-        g_raw += (-g2) * (1.0 / (n_tilde * _LN10))
-        return l1, l2, total, n_tilde, g_raw
+        # n_tilde feeds the surrogate and the log
+        g = sur.right.T @ (sur.left.T @ g_phi)
+        g += (-g2) * (1.0 / (n_tilde * _LN10))
+        return l1, l2, total, g
 
 
 @dataclass
@@ -202,43 +202,6 @@ def gate_voltage(phi, gate_nodes: np.ndarray) -> float:
     return float(np.mean(np.asarray(phi)[gate_nodes]))
 
 
-def _mean_square(r):
-    return np.mean(r * r)
-
-
-def _boundary_residual(phi, v_gate: float, gate_nodes: np.ndarray):
-    """Gate-node deviation from the requested bias [V]."""
-    if len(gate_nodes) == 0:
-        raise ValueError("gate node set is empty")
-    return phi[gate_nodes] - float(v_gate)
-
-
-def _fd_residual(n_tilde, phi, params: fermi.SemiconductorParams, silicon_mask: np.ndarray):
-    """Log10 mismatch of the closure's normalized density at ``phi`` against
-    ``n_tilde``, and that normalized density.
-
-    The closure is looked up through `fermi` at call time, like its
-    derivative in `PinnProblem.build_losses`.
-    """
-    n_fd_tilde = normalize_density(fermi.electron_density(phi, params, silicon_mask))
-    return np.log10(n_fd_tilde) - np.log10(n_tilde), n_fd_tilde
-
-
-def loss_boundary(phi, v_gate: float, gate_nodes: np.ndarray) -> float:
-    """Mean squared gate-node deviation from the requested bias [V^2]."""
-    return float(_mean_square(_boundary_residual(phi, v_gate, gate_nodes)))
-
-
-def loss_fd(n_tilde, phi, params: fermi.SemiconductorParams, mesh: TensorMesh) -> float:
-    """Fermi-Dirac consistency loss in log space.
-
-    The potential is pushed through the density closure (region aware, so
-    oxide nodes pin to the normalization floor), normalized exactly like
-    the generator output, and compared in log10 over all nodes.
-    """
-    return float(_mean_square(_fd_residual(n_tilde, phi, params, mesh.silicon_mask())[0]))
-
-
 def _check_bias(v_gate: float) -> None:
     if not (-0.01 <= v_gate <= 1.0):
         raise ValueError(f"v_gate {v_gate} outside the sane [-0.01, 1] V range")
@@ -281,7 +244,8 @@ def solve_bias(problem: PinnProblem, v_gate: float, opts: SolveOptions | None = 
     checkpoints = {}
     t0 = time.perf_counter()
     for step in range(epochs):
-        l1, l2, total, n_tilde, g_raw = problem.build_losses(net, v_gate)
+        n_tilde = postprocess(net.forward(v_gate / V_GATE_SCALE))
+        l1, l2, total, g = problem.build_losses(n_tilde, v_gate)
         tv = float(total)
         if not np.isfinite(tv):
             raise DivergedError(f"loss diverged at step {step} (V_G={v_gate})",
@@ -289,7 +253,7 @@ def solve_bias(problem: PinnProblem, v_gate: float, opts: SolveOptions | None = 
         if tv < best_loss:
             best_loss = tv
             np.copyto(best_n_tilde, n_tilde)
-        net.backward(g_raw)
+        net.backward(g)
         lr = ad.scheduler_step(sched, tv)
         adam.lr = lr
         ad.adam_step(adam, net.params, [p.grad for p in net.params])
@@ -364,11 +328,8 @@ def teacher_forced_losses(problem: PinnProblem, snapshot: Snapshot):
     loss vanishes up to surrogate error and the boundary loss equals the
     squared surrogate gate error.
     """
-    n_tilde = normalize_density(snapshot.n)
-    phi = predict_phi(problem.surrogate, n_tilde)
-    l1 = loss_boundary(phi, snapshot.v_gate, problem.gate_nodes)
-    l2 = loss_fd(n_tilde, phi, problem.params, problem.mesh)
-    return l1, l2, float(problem.weighted_total(l1, l2))
+    losses = problem.build_losses(normalize_density(snapshot.n), snapshot.v_gate)[:3]
+    return tuple(float(x) for x in losses)
 
 
 def sweep_solve(problem: PinnProblem, biases, opts: SolveOptions | None = None) -> list:

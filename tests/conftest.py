@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,21 @@ def small_surrogate(small_sweep, small_mesh):
 @pytest.fixture(scope="session")
 def small_problem(small_mesh, small_surrogate, params):
     return pinn.PinnProblem(mesh=small_mesh, surrogate=small_surrogate, params=params)
+
+
+@pytest.fixture(scope="session")
+def fixed_phi():
+    """``fixed_phi(problem, phi)``: ``problem`` with a rank-0 surrogate,
+    whose potential is ``phi`` exactly for every density (``left`` is
+    (n, 0), ``right`` (0, n) and the intercept ``phi``), so a test can
+    drive ``build_losses`` at a potential it chooses."""
+    def make(problem, phi):
+        n = problem.mesh.n_nodes
+        sur = surrogate.LinearSurrogate(left=np.zeros((n, 0)), right=np.zeros((0, n)),
+                                        intercept=np.array(phi, dtype=float),
+                                        meta=problem.surrogate.meta)
+        return dataclasses.replace(problem, surrogate=sur)
+    return make
 
 
 @pytest.fixture()

@@ -258,13 +258,16 @@ class TestReport:
                      "--sweep", str(workdir["sweep"]), "--vg", "0.3", "--epochs", "5",
                      "--out", str(run)]) == 0
         capsys.readouterr()
+        empty = tmp_path / "empty_loss_history.csv"  # a header and no rows
+        empty.write_text(f"{dio.LOSS_HISTORY_HEADER}\n")
         rc = main(["report", str(workdir["sweep"]), str(run / "vg0.3_report.txt"),
-                   str(run / "vg0.3_loss_history.csv")])
+                   str(run / "vg0.3_loss_history.csv"), str(empty)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "101 snapshots" in out
         assert "epochs = 5" in out
         assert "vg0.3_loss_history.csv: 5 rows" in out
+        assert f"{empty}: 0 rows\n" in out
 
     def test_unknown_file(self, workdir, tmp_path, capsys):
         path = tmp_path / "junk.txt"
@@ -272,6 +275,15 @@ class TestReport:
         for unknown in (path, workdir["root"] / "sweep_probe.csv"):  # text, then a figure CSV
             assert main(["report", str(unknown)]) == 1
             assert capsys.readouterr().err == f"{unknown}: unrecognized file\n"
+        # known files with a malformed line end in an error naming it, not a traceback
+        for name, text, where in (
+                ("history.csv", f"{dio.LOSS_HISTORY_HEADER}\n0 0.001 1.0 2.0\n", ":2: expected 5 fields"),
+                ("report.txt", f"{dio.REPORT_HEADER}\nv_gate = 0.3\n0 0.0 0.0\n", ":3: expected 5 fields"),
+                ("sweep.txt", f"{dio.SWEEP_HEADER}\n# constants v_t=0.0259 phi_ref=0.0\n", ":2: constants")):
+            bad = tmp_path / name
+            bad.write_text(text)
+            assert main(["report", str(bad)]) == 1
+            assert capsys.readouterr().err.startswith(f"error: {bad}{where}")
 
 
 class TestCheck:

@@ -57,10 +57,14 @@ class TestSweepFiles:
         path = tmp_path / "sweep.txt"
         dio.write_sweep(sweep, mesh, path)
         lines = path.read_text().splitlines()
-        lines[10] = "not a record at all"
-        (tmp_path / "bad.txt").write_text("\n".join(lines) + "\n")
-        with pytest.raises(dio.SweepFormatError, match=":11:"):
-            dio.read_sweep(tmp_path / "bad.txt", mesh)
+        # a record that is not one, and a constants line without n_c
+        for index, text, match in ((10, "not a record at all", ":11:"),
+                                   (2, "# constants v_t=0.0259 phi_ref=0.0", ":3: constants line lacks n_c")):
+            bad = list(lines)
+            bad[index] = text
+            (tmp_path / "bad.txt").write_text("\n".join(bad) + "\n")
+            with pytest.raises(dio.SweepFormatError, match=match):
+                dio.read_sweep(tmp_path / "bad.txt", mesh)
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "x.txt"
@@ -155,6 +159,11 @@ class TestReports:
         assert scalars["max_phi_err_pct"] == 0.21
         assert scalars["epochs"] == 200000
         assert per_node.shape == (mesh.n_nodes, 2)
+        lines = text.splitlines()
+        lines[-1] = " ".join(lines[-1].split()[:3])  # a per-node row cut to 3 fields
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(dio.SweepFormatError, match=f":{len(lines)}: expected 5 fields, got 3"):
+            dio.read_report(path)
 
     def test_zero_error_renders_zero(self, tiny, tmp_path):
         mesh, _ = tiny
@@ -179,6 +188,11 @@ class TestHistoryAndCsv:
         dio.write_loss_history(history, path)
         loaded = dio.read_loss_history(path)
         assert np.array_equal(loaded, history)
+        dio.write_loss_history(history[:0], path)  # a header and no rows
+        assert dio.read_loss_history(path).shape == (0, 5)
+        path.write_text(f"{dio.LOSS_HISTORY_HEADER}\n0 0.001 1.0 2.0 3.0\n1 0.001 1.0 2.0\n")
+        with pytest.raises(dio.SweepFormatError, match=":3: expected 5 fields, got 4"):
+            dio.read_loss_history(path)
         figure = tmp_path / "figure.csv"  # any other table is refused
         dio.write_csv(figure, ["step", "total"], [history[:, 0], history[:, 4]])
         with pytest.raises(dio.SweepFormatError, match="not a wirepinn loss history"):

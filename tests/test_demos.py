@@ -1,5 +1,7 @@
 """The quick demos run to completion against the current library."""
 
+import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -8,6 +10,7 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+ALL_DEMOS = tuple(sorted(n for n in os.listdir(os.path.join(ROOT, "demos")) if n.endswith(".py")))
 # Demo 04 trains for 20k epochs and is left out for time.
 QUICK_DEMOS = (
     "01_oracle_basics.py",
@@ -24,3 +27,16 @@ def test_demo_runs(name):
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", name)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("name", ALL_DEMOS)
+def test_demo_imports_exist(name):
+    # every demo, the long ones included, imports only names the library has
+    with open(os.path.join(ROOT, "demos", name), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "wirepinn":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name) or importlib.util.find_spec(
+                    f"{node.module}.{alias.name}"), f"{name}: {node.module}.{alias.name}"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wirepinn import autodiff as ad
-from wirepinn import pinn, surrogate
+from wirepinn import fermi, pinn, surrogate
 from wirepinn.mesh import nearest_node
 from wirepinn.pinn import (
     DivergedError,
@@ -10,8 +10,6 @@ from wirepinn.pinn import (
     SolveOptions,
     evaluate_against,
     gate_voltage,
-    loss_boundary,
-    loss_fd,
     postprocess,
     solve_bias,
     sweep_solve,
@@ -52,39 +50,40 @@ class TestGateVoltage:
 
 
 class TestLossBoundary:
-    def test_oracle_gate_is_zero(self, oracle_sweep, problem):
+    def test_oracle_gate_is_zero(self, oracle_sweep, problem, fixed_phi):
         snap = oracle_sweep.snapshots[30]
-        assert loss_boundary(snap.phi, snap.v_gate, problem.gate_nodes) == 0.0
+        losses = fixed_phi(problem, snap.phi).build_losses(surrogate.normalize_density(snap.n), snap.v_gate)
+        assert losses[0] == 0.0
 
-    def test_uniform_offset(self, problem):
+    def test_uniform_offset(self, problem, fixed_phi):
         phi = np.zeros(problem.mesh.n_nodes)
         phi[problem.gate_nodes] = 0.51
-        assert loss_boundary(phi, 0.5, problem.gate_nodes) == pytest.approx(1e-4)
+        n_tilde = np.ones(problem.mesh.n_nodes)
+        assert fixed_phi(problem, phi).build_losses(n_tilde, 0.5)[0] == pytest.approx(1e-4)
 
 
 class TestLossFd:
-    def test_exact_zero_on_oracle_snapshot(self, oracle_sweep, problem):
+    def test_exact_zero_on_oracle_snapshot(self, oracle_sweep, problem, fixed_phi):
         # shared closure: the oracle's n is electron_density(phi) bit for bit
         for snap in (oracle_sweep.snapshots[0], oracle_sweep.snapshots[100]):
             n_tilde = surrogate.normalize_density(snap.n)
-            assert loss_fd(n_tilde, snap.phi, problem.params, problem.mesh) == 0.0
+            assert fixed_phi(problem, snap.phi).build_losses(n_tilde, snap.v_gate)[1] == 0.0
 
-    def test_one_decade_at_one_node(self, problem, params):
+    def test_one_decade_at_one_node(self, problem, params, fixed_phi):
         mesh = problem.mesh
         phi = np.full(mesh.n_nodes, 0.2)
-        from wirepinn import fermi
         n_tilde = surrogate.normalize_density(
             fermi.electron_density(phi, params, mesh.silicon_mask()))
         shifted = n_tilde.copy()
         shifted[5] *= 10.0
         expected = 1.0 / mesh.n_nodes
-        assert loss_fd(shifted, phi, params, mesh) == pytest.approx(expected, rel=1e-9)
+        assert fixed_phi(problem, phi).build_losses(shifted, 0.2)[1] == pytest.approx(expected, rel=1e-9)
 
-    def test_positive_when_inconsistent(self, problem, params):
+    def test_positive_when_inconsistent(self, problem, fixed_phi):
         mesh = problem.mesh
         phi = np.full(mesh.n_nodes, 0.3)
         n_tilde = np.full(mesh.n_nodes, 0.5)
-        assert loss_fd(n_tilde, phi, params, mesh) > 0.0
+        assert fixed_phi(problem, phi).build_losses(n_tilde, 0.3)[1] > 0.0
 
 
 class TestFirewall:
@@ -121,12 +120,14 @@ class TestSurrogateFactorization:
         sur = problem.surrogate
         x = rng.uniform(0.0, 5.0, size=problem.mesh.n_nodes)
         assert np.array_equal(surrogate.predict_phi(sur, x), sur.left @ (sur.right @ x) + sur.intercept)
-        # the training graph's potential is predict_phi of its n_tilde
+        # the losses are taken at predict_phi of their n_tilde
         net = ad.GeneratorNet(n_out=problem.mesh.n_nodes, hidden=(8, 16), seed=2)
-        l1, l2, total, n_tilde, _ = problem.build_losses(net, 0.4)
+        n_tilde = postprocess(net.forward(0.4 / pinn.V_GATE_SCALE))
+        l1, l2, total, _ = problem.build_losses(n_tilde, 0.4)
         phi = surrogate.predict_phi(sur, n_tilde)
-        assert l1 == loss_boundary(phi, 0.4, problem.gate_nodes)
-        assert l2 == loss_fd(n_tilde, phi, problem.params, problem.mesh)
+        assert l1 == np.mean((phi[problem.gate_nodes] - 0.4) ** 2)
+        n_fd = fermi.electron_density(phi, problem.params, problem.mesh.silicon_mask())
+        assert l2 == np.mean((np.log10((n_fd + 1e10) / 1e19) - np.log10(n_tilde)) ** 2)
         assert total == l1 + l2
 
 
@@ -138,8 +139,12 @@ class TestTrainingGradient:
         problem = PinnProblem(mesh=small_problem.mesh, surrogate=small_problem.surrogate,
                               params=small_problem.params, w_boundary=w_boundary, w_fd=w_fd)
         net = ad.GeneratorNet(n_out=problem.mesh.n_nodes, hidden=(8, 16), seed=11)
-        _, _, f0, _, g_raw = problem.build_losses(net, 0.5)
-        net.backward(g_raw)
+
+        def losses():
+            return problem.build_losses(postprocess(net.forward(0.5 / pinn.V_GATE_SCALE)), 0.5)
+
+        _, _, f0, g = losses()
+        net.backward(g)
         grads = [p.grad.copy() for p in net.params]
         rng = np.random.default_rng(5)
         h = 1e-6
@@ -150,9 +155,9 @@ class TestTrainingGradient:
                 idx = np.unravel_index(int(rng.integers(p.value.size)), p.value.shape)
                 keep = p.value[idx]
                 p.value[idx] = keep + h
-                f_plus = problem.build_losses(net, 0.5)[2]
+                f_plus = losses()[2]
                 p.value[idx] = keep - h
-                f_minus = problem.build_losses(net, 0.5)[2]
+                f_minus = losses()[2]
                 p.value[idx] = keep
                 fd = (f_plus - f_minus) / (2 * h)
                 assert abs(g[idx] - fd) <= 1e-4 * max(abs(g[idx]), abs(fd)) + atol, (p.value.shape, idx)
