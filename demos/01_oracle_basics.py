@@ -4,7 +4,7 @@
 import numpy as np
 
 from wirepinn import fermi
-from wirepinn.mesh import assemble_fv_coefficients, build_device_mesh, nearest_node
+from wirepinn.mesh import assemble_fv_coefficients, build_device_mesh, probe_node
 from wirepinn.oracle import default_tolerance, residual_check, solve_equilibrium
 
 mesh = build_device_mesh()
@@ -26,8 +26,9 @@ print(f"independent residual check: {residual_check(mesh, coeffs, params, snapsh
 phi2 = snapshot.phi.reshape(mesh.nx, mesh.ny)
 print(f"mirror asymmetry of phi: {np.max(np.abs(phi2 - phi2[::-1, :])):.2e} V")
 
-# channel conditions at the probe point used in the reports
-probe = nearest_node(mesh, 0.0405, 0.002)
+# channel conditions at the probe node the reports read: mid-axis, half
+# the silicon radius
+probe = probe_node(mesh)
 print(f"\nprobe node {probe} at (40.5 nm, 2 nm):")
 print(f"  phi = {snapshot.phi[probe]:.4f} V")
 print(f"  n   = {snapshot.n[probe]:.4e} cm^-3")

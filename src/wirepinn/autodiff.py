@@ -52,13 +52,13 @@ def _elu(z):
 class GeneratorNet:
     """Maps a scaled gate voltage to a raw (post-ELU) density profile.
 
-    Dense layers 1 -> hidden... -> n_out, each followed by ELU (1-64-256-2193
+    Dense layers 1 -> hidden... -> n_out, each followed by ELU (1-64-256-n_out
     by default).  Weights are uniform in +-1/sqrt(fan_in), biases zero,
-    fully determined by the seed (default 42).  ``params`` alternates each
-    layer's weight (out, in) and bias (out,).
+    fully determined by the seed.  ``params`` alternates each layer's
+    weight (out, in) and bias (out,).
     """
 
-    def __init__(self, n_out: int = 2193, hidden=(64, 256), seed: int = 42):
+    def __init__(self, n_out: int, seed: int, hidden=(64, 256)):
         self.n_out = n_out
         self.hidden = tuple(hidden)
         rng = np.random.default_rng(seed)
@@ -110,6 +110,14 @@ class GeneratorNet:
 # ---------------------------------------------------------------------------
 # optimizer and schedule
 
+# Kingma & Ba's moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+# PlateauScheduler's decay factor, least relative improvement and floor
+PLATEAU_FACTOR = 0.5
+PLATEAU_THRESHOLD = 1e-3
+MIN_LR = 1e-5
 # Elements per Adam block: the six block slices (p, g, m, v and two
 # scratch) take 256 KB each, so a block's 1.5 MB stays in a core's L2.
 _ADAM_BLOCK = 32768
@@ -118,13 +126,9 @@ _ADAM_BLOCK = 32768
 class AdamState:
     """Adam moments, the current learning rate and the update's scratch."""
 
-    def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float):
         self.step_count = 0
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = [np.zeros_like(p.value) for p in params]
         self.v = [np.zeros_like(p.value) for p in params]
         size = min(_ADAM_BLOCK, max((p.value.size for p in params), default=0))
@@ -163,7 +167,7 @@ def adam_step(state: AdamState, params, grads) -> None:
         raise ValueError("params/grads/state length mismatch")
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     step_scale = state.lr / (1.0 - b1**t)
     inv_c2 = 1.0 / (1.0 - b2**t)
     for p, g, m, v in zip(params, grads, state.m, state.v):
@@ -171,37 +175,33 @@ def adam_step(state: AdamState, params, grads) -> None:
         if gv.shape != p.value.shape:
             raise ValueError(f"gradient shape {gv.shape} does not match parameter {p.value.shape}")
         _adam_kernel(p.value.reshape(-1), np.ascontiguousarray(gv).reshape(-1),
-                     m.reshape(-1), v.reshape(-1), b1, b2, state.eps, step_scale, inv_c2,
+                     m.reshape(-1), v.reshape(-1), b1, b2, ADAM_EPS, step_scale, inv_c2,
                      state._scratch)
 
 
 class PlateauScheduler:
     """Halve the learning rate when the loss stops improving.
 
-    No improvement better than ``threshold`` (relative) for ``patience``
-    consecutive steps triggers a decay by ``factor``, clamped at
-    ``min_lr``; the rate never increases.
+    No improvement better than PLATEAU_THRESHOLD (relative) for
+    ``patience`` consecutive steps triggers a decay by PLATEAU_FACTOR,
+    clamped at MIN_LR; the rate never increases.
     """
 
-    def __init__(self, lr: float = 1e-3, factor: float = 0.5, patience: int = 2000,
-                 threshold: float = 1e-3, min_lr: float = 1e-5):
+    def __init__(self, lr: float, patience: int):
         self.lr = lr
-        self.factor = factor
         self.patience = patience
-        self.threshold = threshold
-        self.min_lr = min_lr
         self.best = math.inf
         self.wait = 0
 
 
 def scheduler_step(sched: PlateauScheduler, loss: float) -> float:
     """Observe one loss value; returns the learning rate to use."""
-    if loss < sched.best * (1.0 - sched.threshold):
+    if loss < sched.best * (1.0 - PLATEAU_THRESHOLD):
         sched.best = loss
         sched.wait = 0
     else:
         sched.wait += 1
         if sched.wait >= sched.patience:
-            sched.lr = max(sched.lr * sched.factor, sched.min_lr)
+            sched.lr = max(sched.lr * PLATEAU_FACTOR, MIN_LR)
             sched.wait = 0
     return sched.lr

@@ -74,8 +74,7 @@ def _check_laplace(fast: bool):
     mesh = mesh_mod.build_device_mesh(cfg)
     coeffs = mesh_mod.assemble_fv_coefficients(mesh)
     params = fermi.default_params()
-    snap = oracle.solve_equilibrium(
-        mesh, coeffs, params, 0.0, oracle.SolverOptions(zero_charge=True))
+    snap = oracle.solve_equilibrium(mesh, coeffs, params, 0.0, zero_charge=True)
     worst = float(np.max(np.abs(snap.phi)))
     return worst <= 1e-12, f"zero charge, grounded contacts: max |phi| = {worst:.2e}"
 

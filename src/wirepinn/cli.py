@@ -5,10 +5,14 @@ one gate bias or a comma list of them and solves each in turn, writing
 the same products for every bias.  Its ``--epochs`` is one budget or a
 comma list of them: training runs to the largest, and each budget is
 scored against the ``--sweep`` oracle in its own report, as if the run
-had stopped there.  ``report`` summarizes a sweep, report or loss-history
-file, told apart by its first line.  Every command is reproducible: the
-same config, seed and OpenBLAS thread count produce byte-identical data
-products (no timestamps in payloads).
+had stopped there.  With ``-v``, ``solve`` logs its training progress
+every 1% of the largest budget.  The probe traces (``generate``'s
+``<sweep>_probe.csv`` and ``solve``'s ``probe_trace.csv``) read the node
+nearest the middle of the wire axis, halfway out through the silicon
+radius (``mesh.probe_node``).  ``report`` summarizes a sweep, report or
+loss-history file, told apart by its first line.  Every command is
+reproducible: the same config, seed and OpenBLAS thread count produce
+byte-identical data products (no timestamps in payloads).
 
 Exit codes: 0 ok, 1 configuration error, 2 oracle failure, 3 solver
 divergence, 4 self-test failure.
@@ -30,7 +34,7 @@ from .mesh import (
     assemble_fv_coefficients,
     build_device_mesh,
     load_device_config,
-    nearest_node,
+    probe_node,
 )
 from .oracle import (
     ConvergenceError,
@@ -71,7 +75,7 @@ def cmd_generate(args) -> int:
                 residual=resid,
             )
     dataset_io.write_sweep(dataset, mesh, args.out)
-    node, biases, phi, n = extract_probe(dataset, mesh, args.probe_x, args.probe_y)
+    node, biases, phi, n = extract_probe(dataset, mesh, *mesh.node_xy(probe_node(mesh)))
     probe_csv = os.path.splitext(args.out)[0] + "_probe.csv"
     dataset_io.write_csv(probe_csv, ["v_gate", "phi_V", "n_cm3"], [biases, phi, n])
     print(f"wrote {len(dataset)} snapshots to {args.out} (probe node {node} -> {probe_csv})")
@@ -132,27 +136,18 @@ def _budgets(text: str, sweep) -> list:
     return budgets
 
 
-def _load_problem(args):
-    mesh = build_device_mesh(_device_config(args))
-    sur = dataset_io.read_model(args.surrogate)
-    params = fermi.default_params()
-    return pinn.PinnProblem(
-        mesh=mesh, surrogate=sur, params=params,
-        w_boundary=args.w1, w_fd=args.w2,
-    )
-
-
 def cmd_solve(args) -> int:
     biases = _biases(args.vg)
     budgets = _budgets(args.epochs, args.sweep)
-    problem = _load_problem(args)
-    mesh = problem.mesh
+    mesh = build_device_mesh(_device_config(args))
+    problem = pinn.PinnProblem(mesh=mesh, surrogate=dataset_io.read_model(args.surrogate),
+                               params=fermi.default_params())
     oracle_ds = dataset_io.read_sweep(args.sweep, mesh) if args.sweep else None
-    probe = nearest_node(mesh, args.probe_x, args.probe_y)
+    probe = probe_node(mesh)
     os.makedirs(args.out, exist_ok=True)
 
-    opts = pinn.SolveOptions(epochs=budgets[-1], seed=args.seed,
-                             checkpoints=tuple(budgets), log_every=args.log_every)
+    opts = pinn.SolveOptions(epochs=budgets[-1], seed=args.seed, checkpoints=tuple(budgets),
+                             log_every=max(1, budgets[-1] // 100) if args.verbose else 0)
     results = pinn.sweep_solve(problem, biases, opts)
     probe_rows, scatter = [], []
     for v, result in zip(biases, results):
@@ -250,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="wirepinn",
         description="Gated-nanowire electrostatics: finite-volume oracle and self-supervised solver",
     )
-    parser.add_argument("-v", "--verbose", action="store_true", help="enable info logging")
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="enable info logging, with solve's training progress every 1%% of the budget")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="solve the gate ramp and write the sweep dataset")
@@ -258,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v-start", type=float, default=0.0)
     p.add_argument("--v-end", type=float, default=0.75)
     p.add_argument("--step", type=float, default=0.0075)
-    p.add_argument("--probe-x", type=float, default=0.0405, help="probe x [um]")
-    p.add_argument("--probe-y", type=float, default=0.002, help="probe y [um]")
     p.add_argument("--out", required=True, help="output sweep file")
     p.set_defaults(func=cmd_generate)
 
@@ -275,16 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surrogate", required=True)
     p.add_argument("--sweep", help="oracle sweep file for error reports")
     p.add_argument("--vg", required=True, help="gate bias [V], or a comma list solved in turn")
-    p.add_argument("--epochs", default="200000",
+    p.add_argument("--epochs", default=str(pinn.SolveOptions.epochs),
                    help="training epochs, or a comma list of budgets each scored in its own report "
                         "(needs --sweep), e.g. 30000,100000,200000")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--w1", type=float, default=1.0, help="boundary-loss weight")
-    p.add_argument("--w2", type=float, default=1.0, help="density-consistency loss weight")
-    p.add_argument("--probe-x", type=float, default=0.0405, help="probe-trace x [um]")
-    p.add_argument("--probe-y", type=float, default=0.002, help="probe-trace y [um]")
+    p.add_argument("--seed", type=int, default=pinn.SolveOptions.seed)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--log-every", type=int, default=0)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("report", help="summarize sweep, report and loss-history files")

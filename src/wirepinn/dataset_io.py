@@ -53,6 +53,20 @@ class ModelFormatError(ValueError):
     """Bad magic, version or layout in a model container."""
 
 
+def _field(convert, text: str, path, lineno: int):
+    """``convert(text)``; a ValueError becomes a SweepFormatError naming
+    the file and line the text came from."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise SweepFormatError(f"{path}:{lineno}: malformed field {text!r}") from None
+
+
+def _key_value(text: str):
+    key, value = text.split("=", 1)  # a ValueError without "="
+    return key, value
+
+
 def _fmt(x: float) -> str:
     """Shortest decimal rendering that round-trips the double exactly."""
     return repr(float(x))
@@ -150,15 +164,19 @@ def read_sweep(path, mesh: TensorMesh | None = None) -> SweepDataset:
                 if parts[0] == "fingerprint" and len(parts) == 2:
                     fingerprint = parts[1]
                 elif parts[0] == "constants":
-                    constants = dict(kv.split("=", 1) for kv in parts[1:])
+                    pairs = [_field(_key_value, kv, path, lineno) for kv in parts[1:]]
+                    constants = {k: _field(float, v, path, lineno) for k, v in pairs}
                     missing = sorted({"n_c", "v_t", "phi_ref"} - constants.keys())
                     if missing:
                         raise SweepFormatError(f"{path}:{lineno}: constants line lacks {', '.join(missing)}")
                 elif parts[0] == "biases":
-                    biases = [float(v) for v in parts[1:]]
+                    biases = [_field(float, v, path, lineno) for v in parts[1:]]
                 elif parts[0] == "snapshot" and len(parts) >= 2:
-                    meta = dict(kv.split("=", 1) for kv in parts[2:])
-                    snap_meta[int(parts[1])] = meta
+                    meta = dict(_field(_key_value, kv, path, lineno) for kv in parts[2:])
+                    snap_meta[_field(int, parts[1], path, lineno)] = (
+                        bool(_field(int, meta.get("converged", "1"), path, lineno)),
+                        _field(float, meta.get("residual_norm", "nan"), path, lineno),
+                        _field(int, meta.get("iterations", "0"), path, lineno))
                 continue
             fields = line.split()
             if len(fields) != 8:
@@ -195,21 +213,17 @@ def read_sweep(path, mesh: TensorMesh | None = None) -> SweepDataset:
         if n_nodes != mesh.n_nodes:
             raise SweepFormatError(f"{path}: {n_nodes} nodes per snapshot, mesh has {mesh.n_nodes}")
 
-    params = fermi.SemiconductorParams(
-        n_c=float(constants["n_c"]), v_t=float(constants["v_t"]),
-        phi_ref=float(constants["phi_ref"]),
-    )
+    params = fermi.SemiconductorParams(n_c=constants["n_c"], v_t=constants["v_t"],
+                                       phi_ref=constants["phi_ref"])
     snapshots = []
     for k in range(len(biases)):
         vg, phis, ns = records[k]
         if len(phis) != n_nodes:
             raise SweepFormatError(f"{path}: snapshot {k} is truncated ({len(phis)}/{n_nodes} nodes)")
-        meta = snap_meta.get(k, {})
+        converged, residual_norm, iterations = snap_meta.get(k, (True, float("nan"), 0))
         snapshots.append(Snapshot(
-            v_gate=vg, phi=np.array(phis), n=np.array(ns),
-            converged=bool(int(meta.get("converged", 1))),
-            residual_norm=float(meta.get("residual_norm", "nan")),
-            newton_iterations=int(meta.get("iterations", 0)),
+            v_gate=vg, phi=np.array(phis), n=np.array(ns), converged=converged,
+            residual_norm=residual_norm, newton_iterations=iterations,
         ))
     return SweepDataset(snapshots=snapshots, mesh_fingerprint=fingerprint, params=params)
 
@@ -362,12 +376,12 @@ def read_report(path):
                 continue
             if "=" in line:
                 key, _, val = line.partition("=")
-                scalars[key.strip()] = float(val)
+                scalars[key.strip()] = _field(float, val.strip(), path, lineno)
             else:
                 parts = line.split()
                 if len(parts) != 5:
                     raise SweepFormatError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
-                rows.append((float(parts[3]), float(parts[4])))
+                rows.append((_field(float, parts[3], path, lineno), _field(float, parts[4], path, lineno)))
     return scalars, np.array(rows)
 
 
@@ -391,7 +405,7 @@ def read_loss_history(path) -> np.ndarray:
                 continue
             if len(fields) != 5:
                 raise SweepFormatError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
-            rows.append([float(v) for v in fields])
+            rows.append([_field(float, v, path, lineno) for v in fields])
     return np.array(rows).reshape(-1, 5)
 
 

@@ -177,7 +177,7 @@ def electron_density_deriv(phi, params: SemiconductorParams, silicon_mask=None):
     return d if np.ndim(d) else float(d)
 
 
-def default_params(n_c: float = 2.86e19, v_t: float = 0.025852, phi_ref: float = 0.30) -> SemiconductorParams:
+def default_params() -> SemiconductorParams:
     """Standard silicon 300 K constants with the calibrated band reference.
 
     phi_ref anchors the gate window on the device's transfer curve: with
@@ -187,4 +187,4 @@ def default_params(n_c: float = 2.86e19, v_t: float = 0.025852, phi_ref: float =
     Larger references push the whole transition outside the sweep and the
     low-bias snapshots then carry no space-charge response at all.
     """
-    return SemiconductorParams(n_c=n_c, v_t=v_t, phi_ref=phi_ref)
+    return SemiconductorParams(n_c=2.86e19, v_t=0.025852, phi_ref=0.30)

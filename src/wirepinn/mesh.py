@@ -9,9 +9,10 @@ the neural solver.
 
 Geometry conventions (defaults):
   * x: 129 nodes uniformly over an 81 nm axis, which puts a node exactly
-    at the 40.5 nm midpoint used by the probe-trace reports.
-  * y: 13 nodes uniformly over the 4 nm silicon radius (so y = 2 nm is
-    on-grid), then 4 oxide nodes at radius + k*tox/4, k = 1..4.
+    at the 40.5 nm midpoint, where ``probe_node`` reads the probe traces.
+  * y: 13 nodes uniformly over the 4 nm silicon radius (so y = 2 nm, half
+    the radius and the probe's height, is on-grid), then 4 oxide nodes at
+    radius + k*tox/4, k = 1..4.
   * The gate span is snapped to the nearest x nodes; doping junctions are
     abrupt at the snapped gate edges.
 
@@ -22,7 +23,7 @@ coefficients use cm, V, cm^-3, F/cm (per 1 cm of depth).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,6 +45,7 @@ __all__ = [
     "build_device_mesh",
     "load_device_config",
     "nearest_node",
+    "probe_node",
 ]
 
 # Region / contact tags (stored as uint8 per node, y-fastest ordering).
@@ -139,7 +141,7 @@ class TensorMesh:
     region: np.ndarray      # uint8, SILICON/OXIDE per node
     contact: np.ndarray     # uint8, CONTACT_* per node
     net_doping: np.ndarray  # N_D - N_A [cm^-3] per node, 0 in oxide
-    permittivity: dict = field(default_factory=lambda: {SILICON: 11.7, OXIDE: 3.9})
+    permittivity: dict      # relative permittivity by region tag
 
     def __post_init__(self):
         nx, ny = len(self.x_nodes), len(self.y_nodes)
@@ -290,6 +292,12 @@ def nearest_node(mesh: TensorMesh, x_um: float, y_um: float) -> int:
     dx = mesh.x_nodes[:, None] - float(x_um)
     dy = mesh.y_nodes[None, :] - float(y_um)
     return int(np.argmin(dx * dx + dy * dy))
+
+
+def probe_node(mesh: TensorMesh) -> int:
+    """The probe-trace node: nearest mid-axis, halfway out through the silicon."""
+    y_silicon = mesh.y_nodes[mesh.region[:mesh.ny] == SILICON]
+    return nearest_node(mesh, mesh.x_nodes[-1] / 2, y_silicon[-1] / 2)
 
 
 def _control_widths(coords_cm: np.ndarray) -> np.ndarray:

@@ -36,7 +36,6 @@ from .mesh import (
 __all__ = [
     "ConvergenceError",
     "Snapshot",
-    "SolverOptions",
     "SweepDataset",
     "built_in_potential",
     "extract_probe",
@@ -55,6 +54,8 @@ BIAS_MATCH_TOL = 1e-9
 RESIDUAL_TOL_REL = 1e-10
 # Newton damping: |delta phi| <= DAMPING_CLAMP_VT * V_T per node per step
 DAMPING_CLAMP_VT = 10.0
+# Newton steps before a solve gives up with ConvergenceError
+MAX_NEWTON_ITERATIONS = 100
 
 
 class ConvergenceError(RuntimeError):
@@ -106,12 +107,6 @@ class SweepDataset:
         return None
 
 
-@dataclass
-class SolverOptions:
-    max_iterations: int = 100
-    zero_charge: bool = False        # testing hook: drop doping and carriers entirely
-
-
 def default_tolerance(mesh: TensorMesh, coeffs: FvCoefficients) -> float:
     """RESIDUAL_TOL_REL of the largest charge term q * |doping|_max * vol_max."""
     doping_scale = max(float(np.max(np.abs(mesh.net_doping))), 1e10)
@@ -127,9 +122,8 @@ def built_in_potential(mesh: TensorMesh, params: fermi.SemiconductorParams) -> f
     return params.phi_ref + params.v_t * fermi.inverse_fermi_half(nd / params.n_c)
 
 
-def _dirichlet_values(mesh: TensorMesh, params, v_gate: float, zero_charge: bool) -> np.ndarray:
+def _dirichlet_values(mesh: TensorMesh, v_gate: float, phi_bi: float) -> np.ndarray:
     """Per-node boundary values on contact nodes (0 elsewhere)."""
-    phi_bi = 0.0 if zero_charge else built_in_potential(mesh, params)
     bc = np.zeros(mesh.n_nodes)
     bc[mesh.contact == CONTACT_GATE] = v_gate
     bc[mesh.contact == CONTACT_SOURCE] = phi_bi
@@ -157,8 +151,9 @@ def solve_equilibrium(
     coeffs: FvCoefficients,
     params: fermi.SemiconductorParams,
     v_gate: float,
-    opts: SolverOptions | None = None,
     phi0: np.ndarray | None = None,
+    *,
+    zero_charge: bool = False,
 ) -> Snapshot:
     """Damped Newton solve of the equilibrium Poisson system at one bias.
 
@@ -166,20 +161,20 @@ def solve_equilibrium(
         F_c = sum_edges g * (phi_nb - phi_c) + q * (N_D - N_A - n(phi_c)) * vol_c
     and convergence requires max|F| <= default_tolerance over all
     non-Dirichlet nodes.  Newton updates are clamped to
-    +-DAMPING_CLAMP_VT * V_T per node.
+    +-DAMPING_CLAMP_VT * V_T per node.  ``zero_charge`` drops doping and
+    carriers, leaving the Laplace problem of the self-check.
     Raises ConvergenceError on stagnation or a singular linear system.
     """
-    opts = opts or SolverOptions()
     nx, ny = mesh.nx, mesh.ny
     n_nodes = mesh.n_nodes
     tol = default_tolerance(mesh, coeffs)
     clamp = DAMPING_CLAMP_VT * params.v_t
 
     bc_mask = mesh.dirichlet_mask()
-    bc = _dirichlet_values(mesh, params, v_gate, opts.zero_charge)
-    phi_bi = 0.0 if opts.zero_charge else built_in_potential(mesh, params)
+    phi_bi = 0.0 if zero_charge else built_in_potential(mesh, params)
+    bc = _dirichlet_values(mesh, v_gate, phi_bi)
     si = mesh.silicon_mask()
-    doping = np.zeros(n_nodes) if opts.zero_charge else mesh.net_doping
+    doping = np.zeros(n_nodes) if zero_charge else mesh.net_doping
     q_vol = Q_COULOMB * coeffs.volume
 
     if phi0 is None:
@@ -192,7 +187,7 @@ def solve_equilibrium(
     free = ~bc_mask
 
     def density(p):
-        if opts.zero_charge:
+        if zero_charge:
             return np.zeros(n_nodes)
         return fermi.electron_density(p, params, si)
 
@@ -222,7 +217,7 @@ def solve_equilibrium(
         diag[:, :-1] -= gy
         diag[:, 1:] -= gy
         diag = diag.reshape(-1)
-        if not opts.zero_charge:
+        if not zero_charge:
             diag -= q_vol * fermi.electron_density_deriv(p, params, si)
         diag[bc_mask] = 1.0
 
@@ -248,7 +243,7 @@ def solve_equilibrium(
         return ab
 
     rnorm = float("inf")
-    for iteration in range(opts.max_iterations + 1):
+    for iteration in range(MAX_NEWTON_ITERATIONS + 1):
         f = residual(phi)
         rnorm = float(np.max(np.abs(f[free]))) if free.any() else 0.0
         if rnorm <= tol:
@@ -260,7 +255,7 @@ def solve_equilibrium(
                 residual_norm=rnorm,
                 newton_iterations=iteration,
             )
-        if iteration == opts.max_iterations:
+        if iteration == MAX_NEWTON_ITERATIONS:
             break
         try:
             dphi = solve_banded((ny, ny), jacobian(phi), -f)
@@ -275,9 +270,9 @@ def solve_equilibrium(
 
     raise ConvergenceError(
         f"Newton did not converge at V_G={v_gate}: residual {rnorm:.3e} > {tol:.3e} "
-        f"after {opts.max_iterations} iterations",
+        f"after {MAX_NEWTON_ITERATIONS} iterations",
         residual=rnorm,
-        iterations=opts.max_iterations,
+        iterations=MAX_NEWTON_ITERATIONS,
     )
 
 
@@ -287,7 +282,6 @@ def ramp_sweep(
     v_start: float,
     v_end: float,
     step: float,
-    opts: SolverOptions | None = None,
 ) -> SweepDataset:
     """Solve a gate ramp, reusing each solution as the next initial guess.
 
@@ -307,7 +301,7 @@ def ramp_sweep(
     phi_prev = None
     for k, v in enumerate(biases):
         try:
-            snap = solve_equilibrium(mesh, coeffs, params, float(v), opts, phi0=phi_prev)
+            snap = solve_equilibrium(mesh, coeffs, params, float(v), phi0=phi_prev)
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"sweep failed at bias index {k} (V_G={v:.6g} V): {exc}",

@@ -56,12 +56,9 @@ V_GATE_SCALE = 0.75          # network input is v_gate / V_GATE_SCALE
 POSTPROCESS_SHIFT = 1.0 + 1e-9
 MAX_TRAINING_BIAS = 0.30     # [V] firewall: the surrogate may be fitted only below this
 ACCEPT_LOSS = 1e-6           # total-loss bound marking a run as converged
-# Adam learning rate and its reduce-on-plateau schedule
+# Adam's starting learning rate, and the plateau length that halves it
 LR = 1e-3
-LR_FACTOR = 0.5
 LR_PATIENCE = 2000
-LR_THRESHOLD = 1e-3
-LR_MIN = 1e-5
 
 _LN10 = math.log(10.0)
 
@@ -207,7 +204,7 @@ def _check_bias(v_gate: float) -> None:
         raise ValueError(f"v_gate {v_gate} outside the sane [-0.01, 1] V range")
 
 
-def solve_bias(problem: PinnProblem, v_gate: float, opts: SolveOptions | None = None) -> PinnResult:
+def solve_bias(problem: PinnProblem, v_gate: float, opts: SolveOptions) -> PinnResult:
     """Train a fresh generator to solve one gate bias.
 
     Every step: forward -> postprocess -> surrogate potential -> boundary
@@ -219,7 +216,6 @@ def solve_bias(problem: PinnProblem, v_gate: float, opts: SolveOptions | None = 
     within its own budget, so a checkpoint equals a run stopped there.
     Raises DivergedError if the loss goes non-finite.
     """
-    opts = opts or SolveOptions()
     _check_bias(v_gate)
     epochs, seed = opts.epochs, opts.seed
     if epochs < 1:
@@ -227,8 +223,7 @@ def solve_bias(problem: PinnProblem, v_gate: float, opts: SolveOptions | None = 
 
     net = ad.GeneratorNet(n_out=problem.mesh.n_nodes, seed=seed)
     adam = ad.AdamState(net.params, lr=LR)
-    sched = ad.PlateauScheduler(lr=LR, factor=LR_FACTOR, patience=LR_PATIENCE,
-                                threshold=LR_THRESHOLD, min_lr=LR_MIN)
+    sched = ad.PlateauScheduler(lr=LR, patience=LR_PATIENCE)
 
     want_checkpoint = {int(c) for c in opts.checkpoints} | {epochs}
 
@@ -332,7 +327,7 @@ def teacher_forced_losses(problem: PinnProblem, snapshot: Snapshot):
     return tuple(float(x) for x in losses)
 
 
-def sweep_solve(problem: PinnProblem, biases, opts: SolveOptions | None = None) -> list:
+def sweep_solve(problem: PinnProblem, biases, opts: SolveOptions) -> list:
     """One ``solve_bias`` per bias, in order, each with a fresh generator.
 
     Returns, per bias, its ``PinnResult`` or, if the loss diverged, the
@@ -344,7 +339,6 @@ def sweep_solve(problem: PinnProblem, biases, opts: SolveOptions | None = None) 
     which changes the summation order of the matrix products.  This only
     solves; it never scores against an oracle (see ``evaluate_against``).
     """
-    opts = opts or SolveOptions()
     biases = [float(v) for v in biases]
     for v in biases:
         _check_bias(v)

@@ -31,6 +31,7 @@ logger = logging.getLogger(__name__)
 
 DENSITY_OFFSET = 1e10  # cm^-3, keeps oxide nodes positive for the log
 DENSITY_SCALE = 1e19   # cm^-3
+RCOND = 1e-12         # relative SVD cutoff of the fit
 
 
 def normalize_density(n):
@@ -79,12 +80,12 @@ class LinearSurrogate:
             arr.flags.writeable = False
 
 
-def fit(snapshots, mesh_fingerprint: str = "", rcond: float = 1e-12) -> LinearSurrogate:
+def fit(snapshots, mesh_fingerprint: str = "") -> LinearSurrogate:
     """Least-squares fit of potential profiles against normalized densities.
 
     ``snapshots`` is the training slice (typically the first 40 of a
     sweep).  The fit centers both sides, computes the minimum-norm
-    solution through an SVD with relative cutoff ``rcond``, keeps it as
+    solution through an SVD with relative cutoff RCOND, keeps it as
     the factors Yc^T U diag(1/s) and V^T, and absorbs the static
     donor/boundary contribution into the intercept.  Raises ValueError on
     empty input or mismatched field lengths.
@@ -105,7 +106,7 @@ def fit(snapshots, mesh_fingerprint: str = "", rcond: float = 1e-12) -> LinearSu
     y_mean = y.mean(axis=0)
 
     u, s, vt = np.linalg.svd(x - x_mean, full_matrices=False)
-    keep = s > rcond * s[0]  # none kept when s[0] == 0
+    keep = s > RCOND * s[0]  # none kept when s[0] == 0
     logger.info("surrogate fit: %d snapshots, rank %d kept of %d", len(snapshots), keep.sum(), len(s))
     left = (y - y_mean).T @ u[:, keep] / s[keep]
     right = vt[keep]
@@ -117,7 +118,7 @@ def fit(snapshots, mesh_fingerprint: str = "", rcond: float = 1e-12) -> LinearSu
         bias_min=min(biases),
         bias_max=max(biases),
         mesh_fingerprint=mesh_fingerprint,
-        rcond=rcond,
+        rcond=RCOND,
     )
     return LinearSurrogate(left=left, right=right, intercept=intercept, meta=meta)
 

@@ -235,15 +235,15 @@ class TestAdam:
 
     def test_zero_gradient_first_step_no_change(self):
         w = ad.Tensor(np.array([1.5, -2.0]))
-        state = ad.AdamState([w])
+        state = ad.AdamState([w], lr=1e-3)
         ad.adam_step(state, [w], [np.zeros(2)])
         assert np.array_equal(w.value, np.array([1.5, -2.0]))
 
     def test_sign_symmetry(self):
         wp = ad.Tensor(np.array([1.0]))
         wm = ad.Tensor(np.array([-1.0]))
-        sp = ad.AdamState([wp])
-        sm = ad.AdamState([wm])
+        sp = ad.AdamState([wp], lr=1e-3)
+        sm = ad.AdamState([wm], lr=1e-3)
         for _ in range(50):
             ad.adam_step(sp, [wp], [2.0 * wp.value])
             ad.adam_step(sm, [wm], [2.0 * wm.value])
@@ -256,7 +256,7 @@ class TestAdam:
         w = ad.Tensor(rng.standard_normal(n))
         state = ad.AdamState([w], lr=3e-3)
         p, m, v = w.value.copy(), np.zeros(n), np.zeros(n)
-        b1, b2, eps = state.beta1, state.beta2, state.eps
+        b1, b2, eps = ad.ADAM_BETA1, ad.ADAM_BETA2, ad.ADAM_EPS
         for t in range(1, 6):
             g = rng.standard_normal(n)
             ad.adam_step(state, [w], [g])
@@ -269,7 +269,7 @@ class TestAdam:
 
     def test_shape_mismatch_rejected(self):
         w = ad.Tensor(np.zeros(3))
-        state = ad.AdamState([w])
+        state = ad.AdamState([w], lr=1e-3)
         with pytest.raises(ValueError):
             ad.adam_step(state, [w], [np.zeros(4)])
 

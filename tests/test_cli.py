@@ -153,7 +153,7 @@ class TestSolveAndSweep:
                    "--epochs", "500", "--out", str(out)])
         assert rc == 0
         mesh = build_device_mesh(load_device_config(workdir["cfg"]))
-        probe = nearest_node(mesh, 0.0405, 0.002)  # the default --probe-x/--probe-y
+        probe = nearest_node(mesh, 0.0405, 0.002)  # mid-axis, half the silicon radius
         oracle = dio.read_sweep(workdir["sweep"], mesh)
         expected_probe, expected_scatter = [], []
         for v in (0.15, 0.6):
@@ -177,6 +177,19 @@ class TestSolveAndSweep:
         assert rows.shape == (2 * mesh.n_nodes, 4)
         assert np.array_equal(rows, np.concatenate(expected_scatter))
         capsys.readouterr()
+
+    def test_verbose_logs_progress_every_percent(self, workdir, tmp_path, caplog):
+        solve = ["solve", "--config", str(workdir["cfg"]), "--surrogate", str(workdir["surrogate"]),
+                 "--vg", "0.3"]
+        # 1% of 40 epochs rounds down to 0, so every epoch; 1% of 300 is 3
+        for flags, epochs, expected in ((["-v"], 40, range(1, 41)), (["-v"], 300, range(3, 301, 3)),
+                                        ([], 40, ())):
+            caplog.clear()
+            with caplog.at_level("INFO", logger="wirepinn.pinn"):
+                assert main([*flags, *solve, "--epochs", str(epochs), "--out", str(tmp_path / "run")]) == 0
+            steps = [r.getMessage().split(" step ")[1].split()[0]
+                     for r in caplog.records if " step " in r.getMessage()]
+            assert steps == [f"{k}/{epochs}" for k in expected]
 
     def test_sweep_writes_predictions_without_oracle_match(self, workdir, tmp_path, capsys):
         common = ["--config", str(workdir["cfg"]), "--surrogate", str(workdir["surrogate"]),

@@ -57,9 +57,15 @@ class TestSweepFiles:
         path = tmp_path / "sweep.txt"
         dio.write_sweep(sweep, mesh, path)
         lines = path.read_text().splitlines()
-        # a record that is not one, and a constants line without n_c
+        # a record that is not one, a constants line without n_c, and
+        # header fields that are not key=value pairs or numbers
         for index, text, match in ((10, "not a record at all", ":11:"),
-                                   (2, "# constants v_t=0.0259 phi_ref=0.0", ":3: constants line lacks n_c")):
+                                   (2, "# constants v_t=0.0259 phi_ref=0.0", ":3: constants line lacks n_c"),
+                                   (2, "# constants n_c v_t=1 phi_ref=0", ":3: malformed field 'n_c'"),
+                                   (2, "# constants n_c=x v_t=1 phi_ref=0", ":3: malformed field 'x'"),
+                                   (3, "# biases 0.0 x", ":4: malformed field 'x'"),
+                                   (5, "# snapshot zero converged=1", ":6: malformed field 'zero'"),
+                                   (5, "# snapshot 0 converged=yes", ":6: malformed field 'yes'")):
             bad = list(lines)
             bad[index] = text
             (tmp_path / "bad.txt").write_text("\n".join(bad) + "\n")
@@ -164,6 +170,13 @@ class TestReports:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(dio.SweepFormatError, match=f":{len(lines)}: expected 5 fields, got 3"):
             dio.read_report(path)
+        lines[-1] = "0 0.0 0.0 0.5 abc"  # a per-node row with a non-number
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(dio.SweepFormatError, match=f":{len(lines)}: malformed field 'abc'"):
+            dio.read_report(path)
+        path.write_text(f"{dio.REPORT_HEADER}\nv_gate = zero\n")
+        with pytest.raises(dio.SweepFormatError, match=":2: malformed field 'zero'"):
+            dio.read_report(path)
 
     def test_zero_error_renders_zero(self, tiny, tmp_path):
         mesh, _ = tiny
@@ -192,6 +205,9 @@ class TestHistoryAndCsv:
         assert dio.read_loss_history(path).shape == (0, 5)
         path.write_text(f"{dio.LOSS_HISTORY_HEADER}\n0 0.001 1.0 2.0 3.0\n1 0.001 1.0 2.0\n")
         with pytest.raises(dio.SweepFormatError, match=":3: expected 5 fields, got 4"):
+            dio.read_loss_history(path)
+        path.write_text(f"{dio.LOSS_HISTORY_HEADER}\n0 0.001 1.0 abc 3.0\n")
+        with pytest.raises(dio.SweepFormatError, match=":2: malformed field 'abc'"):
             dio.read_loss_history(path)
         figure = tmp_path / "figure.csv"  # any other table is refused
         dio.write_csv(figure, ["step", "total"], [history[:, 0], history[:, 4]])

@@ -1,8 +1,10 @@
-"""The quick demos run to completion against the current library."""
+"""The quick demos run to completion against the current library, and the
+README's commands parse."""
 
 import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 
@@ -40,3 +42,19 @@ def test_demo_imports_exist(name):
             for alias in node.names:
                 assert hasattr(module, alias.name) or importlib.util.find_spec(
                     f"{node.module}.{alias.name}"), f"{name}: {node.module}.{alias.name}"
+
+
+def test_readme_commands_parse():
+    # every `wirepinn ...` command in the README's sh blocks is one the CLI takes
+    from wirepinn.cli import build_parser
+
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"^```sh\n(.*?)^```", fh.read(), flags=re.M | re.S)
+    commands = [line.split()[1:] for block in blocks
+                for line in block.replace("\\\n", " ").splitlines() if line.startswith("wirepinn ")]
+    assert commands
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: wirepinn {' '.join(argv)}")

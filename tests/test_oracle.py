@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from wirepinn import fermi
+from wirepinn import fermi, oracle
 from wirepinn.mesh import CONTACT_SOURCE, DeviceConfig, assemble_fv_coefficients, build_device_mesh
 from wirepinn.oracle import (
     ConvergenceError,
-    SolverOptions,
     SweepDataset,
     built_in_potential,
     default_tolerance,
@@ -20,7 +19,7 @@ class TestSolveEquilibrium:
     def test_laplace_with_grounded_contacts_is_zero(self, params):
         mesh = build_device_mesh(DeviceConfig(nx=33, ny=9))
         coeffs = assemble_fv_coefficients(mesh)
-        snap = solve_equilibrium(mesh, coeffs, params, 0.0, SolverOptions(zero_charge=True))
+        snap = solve_equilibrium(mesh, coeffs, params, 0.0, zero_charge=True)
         assert np.max(np.abs(snap.phi)) <= 1e-12
         assert np.all(snap.n == 0.0)
 
@@ -47,10 +46,11 @@ class TestSolveEquilibrium:
         recomputed = fermi.electron_density(snap.phi, params, default_mesh.silicon_mask())
         assert np.array_equal(snap.n, recomputed)
 
-    def test_nonconvergence_raises_with_diagnostics(self, default_mesh, default_coeffs, params):
+    def test_nonconvergence_raises_with_diagnostics(self, default_mesh, default_coeffs, params,
+                                                    monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_NEWTON_ITERATIONS", 1)
         with pytest.raises(ConvergenceError) as err:
-            solve_equilibrium(default_mesh, default_coeffs, params, 0.75,
-                              SolverOptions(max_iterations=1))
+            solve_equilibrium(default_mesh, default_coeffs, params, 0.75)
         assert err.value.iterations == 1
         assert np.isfinite(err.value.residual)
 
