@@ -9,8 +9,9 @@ had stopped there.  With ``-v``, ``solve`` logs its training progress
 every 1% of the largest budget.  The probe traces (``generate``'s
 ``<sweep>_probe.csv`` and ``solve``'s ``probe_trace.csv``) read the node
 nearest the middle of the wire axis, halfway out through the silicon
-radius (``mesh.probe_node``).  ``report`` summarizes a sweep, report or
-loss-history file, told apart by its first line.  Every command is
+radius (``mesh.probe_node``).  ``report`` summarizes a sweep or surrogate
+container, a report or a loss-history file, told apart by the container
+magic or the first line of text.  Every command is
 reproducible: the same config, seed and OpenBLAS thread count produce
 byte-identical data products (no timestamps in payloads).
 
@@ -160,7 +161,7 @@ def cmd_solve(args) -> int:
         pred = result.prediction
         dataset_io.write_sweep(SweepDataset(snapshots=[pred], mesh_fingerprint=mesh.fingerprint(),
                                             params=problem.params),
-                               mesh, prefix + "_prediction.txt")
+                               mesh, prefix + "_prediction.wpnn")
         print(f"V_G={v:g} V: {result.epochs} epochs in {result.wall_time_s/60:.1f} min, "
               f"final losses l1={result.history[-1,2]:.3e} l2={result.history[-1,3]:.3e}")
         if not pred.converged:
@@ -201,8 +202,20 @@ def cmd_solve(args) -> int:
 
 def cmd_report(args) -> int:
     for path in args.files:
-        with open(path, "r", encoding="utf-8") as fh:
-            head = fh.readline().rstrip("\n")
+        with open(path, "rb") as fh:
+            head = fh.readline(256)
+        if head.startswith(dataset_io.MODEL_MAGIC):
+            kind, obj = dataset_io.read_container(path)
+            if kind == "sweep":
+                print(f"{path}: {len(obj)} snapshots x {len(obj.snapshots[0].phi)} nodes, "
+                      f"V_G {obj.biases[0]:g}..{obj.biases[-1]:g} V, constants n_c={obj.params.n_c:g} "
+                      f"v_t={obj.params.v_t:g} phi_ref={obj.params.phi_ref:g}")
+            else:
+                print(f"{path}: surrogate of rank {obj.left.shape[1]}, fitted on {obj.meta.n_snapshots} "
+                      f"snapshots (V_G {obj.meta.bias_min:g}..{obj.meta.bias_max:g} V), "
+                      f"mesh {obj.meta.mesh_fingerprint}")
+            continue
+        head = head.decode("utf-8", "replace").rstrip("\n")
         if head == dataset_io.REPORT_HEADER:
             scalars, per_node = dataset_io.read_report(path)
             print(f"{path}:")
@@ -212,12 +225,6 @@ def cmd_report(args) -> int:
                     print(f"  {key} = {scalars[key]:g}")
             if len(per_node):
                 print(f"  per-node rows: {len(per_node)}")
-        elif head == dataset_io.SWEEP_HEADER:
-            ds = dataset_io.read_sweep(path)
-            n_nodes = len(ds.snapshots[0].phi)
-            print(f"{path}: {len(ds)} snapshots x {n_nodes} nodes, "
-                  f"V_G {ds.biases[0]:g}..{ds.biases[-1]:g} V, "
-                  f"constants n_c={ds.params.n_c:g} v_t={ds.params.v_t:g} phi_ref={ds.params.phi_ref:g}")
         elif head == dataset_io.LOSS_HISTORY_HEADER:
             data = dataset_io.read_loss_history(path)
             final = f"; final lr={data[-1, 1]:g} total={data[-1, 4]:.3e}" if len(data) else ""
@@ -276,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("report", help="summarize sweep, report and loss-history files")
+    p = sub.add_parser("report", help="summarize sweep, surrogate, report and loss-history files")
     p.add_argument("files", nargs="+")
     p.set_defaults(func=cmd_report)
 
@@ -297,7 +304,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (dataset_io.SweepFormatError, dataset_io.ModelFormatError, FileNotFoundError, ValueError) as exc:
+    except (dataset_io.FormatError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ConvergenceError as exc:

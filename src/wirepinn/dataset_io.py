@@ -1,11 +1,13 @@
 """Deterministic persistence for sweeps, models, reports and run tables.
 
-Text formats for anything a person might want to inspect (sweep datasets,
-reports, loss histories, CSV figure data), one versioned binary container
-for the surrogate's factor matrices.  All floats are written with
-round-trip-exact rendering and all files are written atomically (temp
-file + rename), so readers never observe partial output and write/read
-cycles compare bitwise.
+One versioned binary container carries the arrays that pass between this
+tool's own commands: the oracle sweep and each solve's prediction (kind
+``"sweep"``) and the surrogate's factor matrices (kind ``"surrogate"``).
+Text formats hold what a person reads or plots: reports, loss histories
+and CSV figure data, with floats rendered so that reading them back is
+value-exact.  Every file is written atomically (temp file + rename), so
+readers never observe partial output and write/read cycles compare
+bitwise.
 """
 
 from __future__ import annotations
@@ -13,18 +15,17 @@ from __future__ import annotations
 import json
 import os
 import struct
-from itertools import repeat
 
 import numpy as np
 
 from . import fermi
-from .mesh import REGION_NAMES, TensorMesh
+from .mesh import TensorMesh
 from .oracle import Snapshot, SweepDataset
 from .surrogate import LinearSurrogate, SurrogateMeta
 
 __all__ = [
-    "ModelFormatError",
-    "SweepFormatError",
+    "FormatError",
+    "read_container",
     "read_loss_history",
     "read_model",
     "read_report",
@@ -36,35 +37,23 @@ __all__ = [
     "write_sweep",
 ]
 
-SWEEP_HEADER = "# wirepinn sweep v1"
 REPORT_HEADER = "# wirepinn report v1"
 LOSS_HISTORY_HEADER = "# step lr loss_boundary loss_fd total"
 MODEL_MAGIC = b"WPNN"
 MODEL_VERSION = 2
 
-_REGION_BY_NAME = {v: k for k, v in REGION_NAMES.items()}
 
-
-class SweepFormatError(ValueError):
-    """Malformed, truncated or mismatched sweep file."""
-
-
-class ModelFormatError(ValueError):
-    """Bad magic, version or layout in a model container."""
+class FormatError(ValueError):
+    """Malformed, truncated or mismatched file; the message names it."""
 
 
 def _field(convert, text: str, path, lineno: int):
-    """``convert(text)``; a ValueError becomes a SweepFormatError naming
-    the file and line the text came from."""
+    """``convert(text)``; a ValueError becomes a FormatError naming the
+    file and line the text came from."""
     try:
         return convert(text)
     except ValueError:
-        raise SweepFormatError(f"{path}:{lineno}: malformed field {text!r}") from None
-
-
-def _key_value(text: str):
-    key, value = text.split("=", 1)  # a ValueError without "="
-    return key, value
+        raise FormatError(f"{path}:{lineno}: malformed field {text!r}") from None
 
 
 def _fmt(x: float) -> str:
@@ -107,129 +96,7 @@ def _atomic_write(path, data: bytes) -> None:
 
 
 # ---------------------------------------------------------------------------
-# sweep datasets
-
-def write_sweep(dataset: SweepDataset, mesh: TensorMesh, path) -> None:
-    """Write a sweep as one text record per node per snapshot.
-
-    Record columns: snapshot_index v_gate node_index x_um y_um region
-    phi_V n_cm3.  The header carries the format version, the mesh
-    fingerprint, the physics constants and the bias list; per-snapshot
-    comment lines keep convergence metadata.
-    """
-    if dataset.mesh_fingerprint != mesh.fingerprint():
-        raise SweepFormatError("dataset fingerprint does not match the supplied mesh")
-    p = dataset.params
-    lines = [
-        SWEEP_HEADER,
-        f"# fingerprint {dataset.mesh_fingerprint}",
-        f"# constants n_c={_fmt(p.n_c)} v_t={_fmt(p.v_t)} phi_ref={_fmt(p.phi_ref)}",
-        "# biases " + " ".join(_fmt(v) for v in dataset.biases),
-        "# columns snapshot v_gate node x_um y_um region phi_V n_cm3",
-    ]
-    nodes = _rows([*_node_columns(mesh), [REGION_NAMES[r] for r in mesh.region.tolist()]], " ")
-    for k, snap in enumerate(dataset.snapshots):
-        lines.append(
-            f"# snapshot {k} converged={int(snap.converged)} "
-            f"residual_norm={_fmt(snap.residual_norm)} iterations={snap.newton_iterations}"
-        )
-        lines += _rows([repeat(f"{k} {_fmt(snap.v_gate)}"), nodes, snap.phi, snap.n], " ")
-    lines.append("")
-    _atomic_write(path, "\n".join(lines).encode())
-
-
-def read_sweep(path, mesh: TensorMesh | None = None) -> SweepDataset:
-    """Load a sweep file; raises SweepFormatError naming the bad line.
-
-    If a mesh is supplied, its fingerprint and node count must match the
-    file.
-    """
-    fingerprint = ""
-    constants = {}
-    biases: list[float] = []
-    snap_meta = {}
-    records: dict[int, list] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\n")
-        if first != SWEEP_HEADER:
-            raise SweepFormatError(f"{path}:1: not a wirepinn sweep file (got {first!r})")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if not parts:
-                    continue
-                if parts[0] == "fingerprint" and len(parts) == 2:
-                    fingerprint = parts[1]
-                elif parts[0] == "constants":
-                    pairs = [_field(_key_value, kv, path, lineno) for kv in parts[1:]]
-                    constants = {k: _field(float, v, path, lineno) for k, v in pairs}
-                    missing = sorted({"n_c", "v_t", "phi_ref"} - constants.keys())
-                    if missing:
-                        raise SweepFormatError(f"{path}:{lineno}: constants line lacks {', '.join(missing)}")
-                elif parts[0] == "biases":
-                    biases = [_field(float, v, path, lineno) for v in parts[1:]]
-                elif parts[0] == "snapshot" and len(parts) >= 2:
-                    meta = dict(_field(_key_value, kv, path, lineno) for kv in parts[2:])
-                    snap_meta[_field(int, parts[1], path, lineno)] = (
-                        bool(_field(int, meta.get("converged", "1"), path, lineno)),
-                        _field(float, meta.get("residual_norm", "nan"), path, lineno),
-                        _field(int, meta.get("iterations", "0"), path, lineno))
-                continue
-            fields = line.split()
-            if len(fields) != 8:
-                raise SweepFormatError(f"{path}:{lineno}: expected 8 fields, got {len(fields)}")
-            try:
-                k = int(fields[0])
-                node = int(fields[2])
-                vg = float(fields[1])
-                phi = float(fields[6])
-                n = float(fields[7])
-                region = _REGION_BY_NAME[fields[5]]
-            except (ValueError, KeyError) as exc:
-                raise SweepFormatError(f"{path}:{lineno}: malformed record ({exc})") from None
-            rec = records.setdefault(k, [vg, [], []])
-            if node != len(rec[1]):
-                raise SweepFormatError(
-                    f"{path}:{lineno}: node index {node} out of order (expected {len(rec[1])})"
-                )
-            rec[1].append(phi)
-            rec[2].append(n)
-
-    if not biases:
-        raise SweepFormatError(f"{path}: missing bias list header")
-    if not constants:
-        raise SweepFormatError(f"{path}: missing constants header")
-    if sorted(records) != list(range(len(biases))):
-        raise SweepFormatError(
-            f"{path}: found snapshots {sorted(records)} but header lists {len(biases)} biases"
-        )
-    n_nodes = len(records[0][1])
-    if mesh is not None:
-        if fingerprint != mesh.fingerprint():
-            raise SweepFormatError(f"{path}: fingerprint does not match the supplied mesh")
-        if n_nodes != mesh.n_nodes:
-            raise SweepFormatError(f"{path}: {n_nodes} nodes per snapshot, mesh has {mesh.n_nodes}")
-
-    params = fermi.SemiconductorParams(n_c=constants["n_c"], v_t=constants["v_t"],
-                                       phi_ref=constants["phi_ref"])
-    snapshots = []
-    for k in range(len(biases)):
-        vg, phis, ns = records[k]
-        if len(phis) != n_nodes:
-            raise SweepFormatError(f"{path}: snapshot {k} is truncated ({len(phis)}/{n_nodes} nodes)")
-        converged, residual_norm, iterations = snap_meta.get(k, (True, float("nan"), 0))
-        snapshots.append(Snapshot(
-            v_gate=vg, phi=np.array(phis), n=np.array(ns), converged=converged,
-            residual_norm=residual_norm, newton_iterations=iterations,
-        ))
-    return SweepDataset(snapshots=snapshots, mesh_fingerprint=fingerprint, params=params)
-
-
-# ---------------------------------------------------------------------------
-# model container (binary)
+# binary container: sweeps and models
 
 def _pack_str(s: str) -> bytes:
     raw = s.encode()
@@ -244,7 +111,7 @@ class _Reader:
 
     def take(self, n: int) -> bytes:
         if self.off + n > len(self.data):
-            raise ModelFormatError(f"{self.path}: truncated container")
+            raise FormatError(f"{self.path}: truncated container")
         out = self.data[self.off:self.off + n]
         self.off += n
         return out
@@ -264,7 +131,7 @@ def _write_container(path, kind: str, arrays, meta: dict) -> None:
     blob.append(meta_raw)
     blob.append(struct.pack("<I", len(arrays)))
     for name, arr in arrays:
-        arr = np.ascontiguousarray(arr, dtype="<f8")
+        arr = np.asarray(arr, dtype="<f8")  # 0-d stays 0-d; tobytes() is C order
         blob.append(_pack_str(name))
         blob.append(struct.pack("<B", arr.ndim))
         blob.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
@@ -273,31 +140,120 @@ def _write_container(path, kind: str, arrays, meta: dict) -> None:
 
 
 def _read_container(path):
+    """A container file -> (kind, arrays by name, meta), unchecked beyond
+    its framing."""
     with open(path, "rb") as fh:
         reader = _Reader(fh.read(), path)
     if reader.take(4) != MODEL_MAGIC:
-        raise ModelFormatError(f"{path}: bad magic, not a wirepinn model file")
+        raise FormatError(f"{path}: bad magic, not a wirepinn container")
     (version,) = reader.unpack("<I")
     if version != MODEL_VERSION:
-        raise ModelFormatError(
+        raise FormatError(
             f"{path}: unsupported container version {version}; this release reads version "
-            f"{MODEL_VERSION}, so re-run `wirepinn fit-lr` to rewrite the surrogate"
+            f"{MODEL_VERSION}, so re-run `wirepinn generate` or `wirepinn fit-lr` to rewrite it"
         )
     kind = reader.string()
     (meta_len,) = reader.unpack("<I")
-    meta = json.loads(reader.take(meta_len).decode())
+    raw = reader.take(meta_len)
+    try:
+        meta = json.loads(raw.decode())
+    except ValueError as exc:
+        raise FormatError(f"{path}: unreadable metadata ({exc})") from None
     (n_arrays,) = reader.unpack("<I")
-    arrays = []
+    arrays = {}
     for _ in range(n_arrays):
         name = reader.string()
         (ndim,) = reader.unpack("<B")
         shape = reader.unpack(f"<{ndim}I")
         count = int(np.prod(shape)) if ndim else 1
         arr = np.frombuffer(reader.take(8 * count), dtype="<f8").reshape(shape).copy()
-        arrays.append((name, arr))
+        arrays[name] = arr
     if reader.off != len(reader.data):
-        raise ModelFormatError(f"{path}: {len(reader.data) - reader.off} trailing bytes")
+        raise FormatError(f"{path}: {len(reader.data) - reader.off} trailing bytes")
     return kind, arrays, meta
+
+
+def read_container(path):
+    """A container file -> (its kind, the SweepDataset or LinearSurrogate
+    it holds).  Raises FormatError naming the file and every array or
+    meta key its kind needs but the file lacks."""
+    kind, arrays, meta = _read_container(path)
+    if kind not in _KINDS:
+        raise FormatError(f"{path}: unknown container kind {kind!r}")
+    names, keys, decode = _KINDS[kind]
+    missing = [a for a in names if a not in arrays] + [k for k in keys if k not in meta]
+    if missing:
+        raise FormatError(f"{path}: {kind} container lacks {', '.join(missing)}")
+    try:
+        return kind, decode(arrays, meta)
+    except (TypeError, ValueError) as exc:  # the decoder's checks and the object's own
+        raise FormatError(f"{path}: {exc}") from None
+
+
+def _read_kind(path, kind: str):
+    found, obj = read_container(path)
+    if found != kind:
+        raise FormatError(f"{path}: holds a {found!r} container, not a {kind!r} one")
+    return obj
+
+
+def write_sweep(dataset: SweepDataset, mesh: TensorMesh, path) -> None:
+    """Write a sweep (or one solve's prediction) as a ``"sweep"`` container.
+
+    Arrays: ``biases`` (K), ``phi`` and ``n`` (K x n_nodes), and each
+    snapshot's Newton record ``converged``, ``residual_norm`` and
+    ``iterations`` (K each, as f64 like every container array).  The meta
+    holds the mesh fingerprint and the closure constants.
+    """
+    if dataset.mesh_fingerprint != mesh.fingerprint():
+        raise FormatError("dataset fingerprint does not match the supplied mesh")
+    snaps, p = dataset.snapshots, dataset.params
+    shape = (len(snaps), mesh.n_nodes)
+    arrays = [
+        ("biases", dataset.biases),
+        ("phi", np.reshape([s.phi for s in snaps], shape)),
+        ("n", np.reshape([s.n for s in snaps], shape)),
+        ("converged", [s.converged for s in snaps]),
+        ("residual_norm", [s.residual_norm for s in snaps]),
+        ("iterations", [s.newton_iterations for s in snaps]),
+    ]
+    meta = {"mesh_fingerprint": dataset.mesh_fingerprint, "n_c": p.n_c, "v_t": p.v_t, "phi_ref": p.phi_ref}
+    _write_container(path, "sweep", arrays, meta)
+
+
+def _sweep_from(arrays, meta) -> SweepDataset:
+    biases, phi, n, converged, residual_norm, iterations = (arrays[a] for a in _SWEEP_ARRAYS)
+    if (biases.ndim != 1 or phi.ndim != 2 or len(phi) != len(biases) or n.shape != phi.shape
+            or any(a.shape != biases.shape for a in (converged, residual_norm, iterations))):
+        shapes = ", ".join(f"{a} {arrays[a].shape}" for a in _SWEEP_ARRAYS)
+        raise ValueError(f"array shapes do not fit one sweep ({shapes})")
+    for name, values in (("converged", converged), ("iterations", iterations)):
+        if not np.all(values % 1 == 0):  # NaN and inf fail too
+            raise ValueError(f"{name} holds values that are not whole numbers")
+    snapshots = [
+        Snapshot(v_gate=v, phi=phi[k], n=n[k], converged=bool(c), residual_norm=r, newton_iterations=int(i))
+        for k, (v, c, r, i) in enumerate(zip(biases.tolist(), converged.tolist(),
+                                             residual_norm.tolist(), iterations.tolist()))
+    ]
+    params = fermi.SemiconductorParams(n_c=float(meta["n_c"]), v_t=float(meta["v_t"]),
+                                       phi_ref=float(meta["phi_ref"]))
+    return SweepDataset(snapshots=snapshots, mesh_fingerprint=meta["mesh_fingerprint"], params=params)
+
+
+def read_sweep(path, mesh: TensorMesh | None = None) -> SweepDataset:
+    """Load a ``"sweep"`` container; raises FormatError naming the file.
+
+    If a mesh is supplied, its fingerprint and node count must match the
+    file.
+    """
+    dataset = _read_kind(path, "sweep")
+    if mesh is not None:
+        if dataset.mesh_fingerprint != mesh.fingerprint():
+            raise FormatError(f"{path}: fingerprint does not match the supplied mesh")
+        if dataset.snapshots and len(dataset.snapshots[0].phi) != mesh.n_nodes:
+            raise FormatError(f"{path}: {len(dataset.snapshots[0].phi)} nodes per snapshot, "
+                              f"mesh has {mesh.n_nodes}")
+    return dataset
 
 
 def write_model(obj, path) -> None:
@@ -317,16 +273,11 @@ def write_model(obj, path) -> None:
                      [("left", obj.left), ("right", obj.right), ("intercept", obj.intercept)], meta)
 
 
-def read_model(path) -> LinearSurrogate:
-    """Load a surrogate container back into its object."""
-    kind, arrays, meta = _read_container(path)
-    if kind != "surrogate":
-        raise ModelFormatError(f"{path}: unknown model kind {kind!r}")
-    named = dict(arrays)
+def _surrogate_from(arrays, meta) -> LinearSurrogate:
     return LinearSurrogate(
-        left=named["left"],
-        right=named["right"],
-        intercept=named["intercept"],
+        left=arrays["left"],
+        right=arrays["right"],
+        intercept=arrays["intercept"],
         meta=SurrogateMeta(
             n_snapshots=int(meta["n_snapshots"]),
             bias_min=float(meta["bias_min"]),
@@ -337,6 +288,21 @@ def read_model(path) -> LinearSurrogate:
             density_scale=float(meta["density_scale"]),
         ),
     )
+
+
+def read_model(path) -> LinearSurrogate:
+    """Load a ``"surrogate"`` container back into its object."""
+    return _read_kind(path, "surrogate")
+
+
+_SWEEP_ARRAYS = ("biases", "phi", "n", "converged", "residual_norm", "iterations")
+# Each kind's arrays and meta keys, all required, and its decoder.
+_KINDS = {
+    "sweep": (_SWEEP_ARRAYS, ("mesh_fingerprint", "n_c", "v_t", "phi_ref"), _sweep_from),
+    "surrogate": (("left", "right", "intercept"),
+                  ("n_snapshots", "bias_min", "bias_max", "mesh_fingerprint", "rcond",
+                   "density_offset", "density_scale"), _surrogate_from),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +335,7 @@ def read_report(path):
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline().rstrip("\n")
         if first != REPORT_HEADER:
-            raise SweepFormatError(f"{path}:1: not a wirepinn report file")
+            raise FormatError(f"{path}:1: not a wirepinn report file")
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -380,7 +346,7 @@ def read_report(path):
             else:
                 parts = line.split()
                 if len(parts) != 5:
-                    raise SweepFormatError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
+                    raise FormatError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
                 rows.append((_field(float, parts[3], path, lineno), _field(float, parts[4], path, lineno)))
     return scalars, np.array(rows)
 
@@ -398,13 +364,13 @@ def read_loss_history(path) -> np.ndarray:
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         if fh.readline().rstrip("\n") != LOSS_HISTORY_HEADER:
-            raise SweepFormatError(f"{path}:1: not a wirepinn loss history file")
+            raise FormatError(f"{path}:1: not a wirepinn loss history file")
         for lineno, line in enumerate(fh, start=2):
             fields = line.split()
             if not fields:
                 continue
             if len(fields) != 5:
-                raise SweepFormatError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
+                raise FormatError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
             rows.append([_field(float, v, path, lineno) for v in fields])
     return np.array(rows).reshape(-1, 5)
 

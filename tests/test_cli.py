@@ -14,7 +14,7 @@ def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     cfg = root / "device.cfg"
     cfg.write_text(SMALL_CFG)
-    sweep = root / "sweep.txt"
+    sweep = root / "sweep.wpnn"
     rc = main(["generate", "--config", str(cfg), "--out", str(sweep)])
     assert rc == 0
     sur = root / "surrogate.wpnn"
@@ -30,7 +30,7 @@ class TestGenerate:
         assert len(ds) == 101
 
     def test_zero_length_range(self, workdir, tmp_path):
-        out = tmp_path / "one.txt"
+        out = tmp_path / "one.wpnn"
         rc = main(["generate", "--config", str(workdir["cfg"]),
                    "--v-start", "0.3", "--v-end", "0.3", "--out", str(out)])
         assert rc == 0
@@ -39,12 +39,12 @@ class TestGenerate:
     def test_corrupt_config_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nx = banana\n")
-        rc = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x.txt")])
+        rc = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x.wpnn")])
         assert rc == 1
         assert "configuration error" in capsys.readouterr().err
 
     def test_missing_output_directories_created(self, workdir, tmp_path):
-        sweep = tmp_path / "runs" / "new" / "sweep.txt"
+        sweep = tmp_path / "runs" / "new" / "sweep.wpnn"
         model = tmp_path / "models" / "lr" / "surrogate.wpnn"
         assert main(["generate", "--config", str(workdir["cfg"]), "--v-end", "0.3",
                      "--out", str(sweep)]) == 0
@@ -95,6 +95,16 @@ class TestFitLr:
         scatter = workdir["root"] / "surrogate_scatter.csv"
         assert scatter.exists()
 
+    def test_generate_and_fit_lr_byte_identical(self, workdir, tmp_path):
+        cfg = str(workdir["cfg"])
+        for run in ("a", "b"):
+            assert main(["generate", "--config", cfg, "--out", str(tmp_path / run / "sweep.wpnn")]) == 0
+        for run in ("a", "b"):
+            assert main(["fit-lr", "--config", cfg, "--sweep", str(tmp_path / "a" / "sweep.wpnn"),
+                         "--cutoff", "40", "--out", str(tmp_path / run / "surrogate.wpnn")]) == 0
+        for name in ("sweep.wpnn", "sweep_probe.csv", "surrogate.wpnn", "surrogate_scatter.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
 
 @pytest.mark.slow
 class TestSolveAndSweep:
@@ -105,7 +115,7 @@ class TestSolveAndSweep:
                    "--epochs", "800", "--out", str(out)])
         assert rc == 0
         assert (out / "vg0.45_loss_history.csv").exists()
-        assert (out / "vg0.45_prediction.txt").exists()
+        assert (out / "vg0.45_prediction.wpnn").exists()
         assert (out / "vg0.45_report.txt").exists()
         scalars, _ = dio.read_report(out / "vg0.45_report.txt")
         assert scalars["epochs"] == 800
@@ -160,7 +170,7 @@ class TestSolveAndSweep:
             scalars, per_node = dio.read_report(out / f"vg{v:g}_report.txt")
             assert scalars["v_gate"] == v and scalars["epochs"] == 500
             assert per_node.shape == (mesh.n_nodes, 2)
-            pred = dio.read_sweep(out / f"vg{v:g}_prediction.txt", mesh).snapshots[0]
+            pred = dio.read_sweep(out / f"vg{v:g}_prediction.wpnn", mesh).snapshots[0]
             snap = oracle.snapshot_at(v)
             expected_probe.append([v, snap.phi[probe], pred.phi[probe], snap.n[probe], pred.n[probe]])
             expected_scatter.append(np.column_stack([snap.phi, pred.phi, snap.n, pred.n]))
@@ -202,13 +212,13 @@ class TestSolveAndSweep:
                        "--out", str(out)])
             assert rc == 0
             for v in biases:
-                ds = dio.read_sweep(out / f"vg{v:g}_prediction.txt")
+                ds = dio.read_sweep(out / f"vg{v:g}_prediction.wpnn")
                 assert len(ds) == 1 and ds.snapshots[0].v_gate == v
         # the same file, byte for byte, as solve writes for that bias
         solo = tmp_path / "solo"
         assert main(["solve", *common, "--vg", "0.15", "--out", str(solo)]) == 0
-        assert ((solo / "vg0.15_prediction.txt").read_bytes()
-                == (tmp_path / "none" / "vg0.15_prediction.txt").read_bytes())
+        assert ((solo / "vg0.15_prediction.wpnn").read_bytes()
+                == (tmp_path / "none" / "vg0.15_prediction.wpnn").read_bytes())
         capsys.readouterr()
 
     def test_divergence_writes_partial_history_and_continues(self, workdir, tmp_path, capsys,
@@ -229,10 +239,10 @@ class TestSolveAndSweep:
         assert rc == 3
         assert "solver diverged: forced at V_G=0.3" in capsys.readouterr().err
         assert np.array_equal(dio.read_loss_history(out / "vg0.3_loss_history.csv"), partial)
-        assert not (out / "vg0.3_prediction.txt").exists()
+        assert not (out / "vg0.3_prediction.wpnn").exists()
         for v in (0.15, 0.6):  # solved and written on both sides of the divergence
             assert len(dio.read_loss_history(out / f"vg{v:g}_loss_history.csv")) == 20
-            assert dio.read_sweep(out / f"vg{v:g}_prediction.txt").snapshots[0].v_gate == v
+            assert dio.read_sweep(out / f"vg{v:g}_prediction.wpnn").snapshots[0].v_gate == v
             assert dio.read_report(out / f"vg{v:g}_report.txt")[0]["v_gate"] == v
         probe = (out / "probe_trace.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in probe[1:]] == ["0.15", "0.6"]
@@ -264,6 +274,34 @@ class TestSolveInput:
         assert calls == [] and not out.exists()
 
 
+class TestContainerInput:
+    """A container of the wrong kind, or one that lacks a name, ends in exit 1
+    and a message naming the file, not in a traceback."""
+
+    def _drop(self, src, dst, names):
+        kind, arrays, meta = dio._read_container(src)
+        dio._write_container(dst, kind, [(a, v) for a, v in arrays.items() if a not in names],
+                             {k: v for k, v in meta.items() if k not in names})
+        return dst
+
+    def test_bad_container_exit_1(self, workdir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pinn, "solve_bias", lambda *args: pytest.fail("trained"))
+        sur, sweep = workdir["surrogate"], workdir["sweep"]
+        no_left = self._drop(sur, tmp_path / "no_left.wpnn", ("left",))
+        no_rcond = self._drop(sur, tmp_path / "no_rcond.wpnn", ("rcond",))
+        no_phi = self._drop(sweep, tmp_path / "no_phi.wpnn", ("phi", "n_c"))
+        for model, oracle, message in (
+                (no_left, sweep, f"{no_left}: surrogate container lacks left\n"),
+                (no_rcond, sweep, f"{no_rcond}: surrogate container lacks rcond\n"),
+                (sur, no_phi, f"{no_phi}: sweep container lacks phi, n_c\n"),
+                (sweep, sweep, f"{sweep}: holds a 'sweep' container, not a 'surrogate' one\n"),
+                (sur, sur, f"{sur}: holds a 'surrogate' container, not a 'sweep' one\n")):
+            rc = main(["solve", "--config", str(workdir["cfg"]), "--surrogate", str(model),
+                       "--sweep", str(oracle), "--vg", "0.3", "--epochs", "5", "--out", str(tmp_path / "o")])
+            assert rc == 1
+            assert capsys.readouterr().err == f"error: {message}"
+
+
 class TestReport:
     def test_summarizes_sweep_and_reports(self, workdir, tmp_path, capsys):
         run = tmp_path / "run"
@@ -274,10 +312,15 @@ class TestReport:
         empty = tmp_path / "empty_loss_history.csv"  # a header and no rows
         empty.write_text(f"{dio.LOSS_HISTORY_HEADER}\n")
         rc = main(["report", str(workdir["sweep"]), str(run / "vg0.3_report.txt"),
-                   str(run / "vg0.3_loss_history.csv"), str(empty)])
+                   str(run / "vg0.3_loss_history.csv"), str(empty), str(workdir["surrogate"]),
+                   str(run / "vg0.3_prediction.wpnn")])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "101 snapshots" in out
+        assert f"{workdir['sweep']}: 101 snapshots x 136 nodes, V_G 0..0.75 V, constants n_c=" in out
+        assert "vg0.3_prediction.wpnn: 1 snapshots x 136 nodes, V_G 0.3..0.3 V" in out
+        fingerprint = dio.read_model(workdir["surrogate"]).meta.mesh_fingerprint
+        assert (f"{workdir['surrogate']}: surrogate of rank 17, fitted on 40 snapshots "
+                f"(V_G 0..0.2925 V), mesh {fingerprint}\n") in out
         assert "epochs = 5" in out
         assert "vg0.3_loss_history.csv: 5 rows" in out
         assert f"{empty}: 0 rows\n" in out
@@ -285,16 +328,19 @@ class TestReport:
     def test_unknown_file(self, workdir, tmp_path, capsys):
         path = tmp_path / "junk.txt"
         path.write_text("hello\n")
-        for unknown in (path, workdir["root"] / "sweep_probe.csv"):  # text, then a figure CSV
+        binary = tmp_path / "junk.bin"
+        binary.write_bytes(b"\xd9\xff\x00WPNN\n")
+        # text, a figure CSV, then bytes that are neither text nor a container
+        for unknown in (path, workdir["root"] / "sweep_probe.csv", binary):
             assert main(["report", str(unknown)]) == 1
             assert capsys.readouterr().err == f"{unknown}: unrecognized file\n"
         # known files with a malformed line end in an error naming it, not a traceback
         for name, text, where in (
                 ("history.csv", f"{dio.LOSS_HISTORY_HEADER}\n0 0.001 1.0 2.0\n", ":2: expected 5 fields"),
                 ("report.txt", f"{dio.REPORT_HEADER}\nv_gate = 0.3\n0 0.0 0.0\n", ":3: expected 5 fields"),
-                ("sweep.txt", f"{dio.SWEEP_HEADER}\n# constants v_t=0.0259 phi_ref=0.0\n", ":2: constants")):
+                ("sweep.wpnn", workdir["sweep"].read_bytes()[:-8], ": truncated container")):
             bad = tmp_path / name
-            bad.write_text(text)
+            bad.write_bytes(text if isinstance(text, bytes) else text.encode())
             assert main(["report", str(bad)]) == 1
             assert capsys.readouterr().err.startswith(f"error: {bad}{where}")
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from wirepinn import dataset_io as dio
 from wirepinn import pinn, surrogate
@@ -20,10 +20,22 @@ def tiny(params):
     return mesh, sweep
 
 
+def _edit_container(src, dst, drop=(), meta=None, **arrays):
+    """Rewrite the container ``src`` to ``dst`` with names dropped, arrays
+    replaced or added and meta keys changed."""
+    kind, named, old_meta = dio._read_container(src)
+    named.update(arrays)
+    old_meta.update(meta or {})
+    for name in drop:
+        named.pop(name, None)
+        old_meta.pop(name, None)
+    dio._write_container(dst, kind, list(named.items()), old_meta)
+
+
 class TestSweepFiles:
     def test_round_trip_bitwise(self, tiny, tmp_path):
         mesh, sweep = tiny
-        path = tmp_path / "sweep.txt"
+        path = tmp_path / "sweep.wpnn"
         dio.write_sweep(sweep, mesh, path)
         loaded = dio.read_sweep(path, mesh)
         assert loaded.mesh_fingerprint == sweep.mesh_fingerprint
@@ -36,63 +48,82 @@ class TestSweepFiles:
             assert a.residual_norm == b.residual_norm
             assert a.newton_iterations == b.newton_iterations
 
-    def test_record_count(self, tiny, tmp_path, default_mesh, oracle_sweep):
-        path = tmp_path / "full.txt"
+    def test_canonical_sweep_size(self, tmp_path, default_mesh, oracle_sweep):
+        path = tmp_path / "full.wpnn"
         dio.write_sweep(oracle_sweep, default_mesh, path)
-        with open(path) as fh:
-            records = [l for l in fh if l.strip() and not l.startswith("#")]
-        assert len(records) == 101 * 2193
+        kind, arrays, _ = dio._read_container(path)
+        assert kind == "sweep"
+        assert arrays["phi"].shape == arrays["n"].shape == (101, 2193)
+        payload = (2 * 101 * 2193 + 4 * 101) * 8
+        assert payload < path.stat().st_size < payload + 4096  # header/metadata only
 
     def test_truncated_file_reports_state(self, tiny, tmp_path):
         mesh, sweep = tiny
-        path = tmp_path / "sweep.txt"
+        path = tmp_path / "sweep.wpnn"
         dio.write_sweep(sweep, mesh, path)
-        lines = path.read_text().splitlines()
-        (tmp_path / "cut.txt").write_text("\n".join(lines[:-30]) + "\n")
-        with pytest.raises(dio.SweepFormatError, match="truncated"):
-            dio.read_sweep(tmp_path / "cut.txt", mesh)
+        (tmp_path / "cut.wpnn").write_bytes(path.read_bytes()[:-30])
+        with pytest.raises(dio.FormatError, match="cut.wpnn: truncated"):
+            dio.read_sweep(tmp_path / "cut.wpnn", mesh)
 
-    def test_malformed_row_names_line(self, tiny, tmp_path):
+    def test_malformed_arrays_name_file(self, tiny, tmp_path):
         mesh, sweep = tiny
-        path = tmp_path / "sweep.txt"
+        path = tmp_path / "sweep.wpnn"
         dio.write_sweep(sweep, mesh, path)
-        lines = path.read_text().splitlines()
-        # a record that is not one, a constants line without n_c, and
-        # header fields that are not key=value pairs or numbers
-        for index, text, match in ((10, "not a record at all", ":11:"),
-                                   (2, "# constants v_t=0.0259 phi_ref=0.0", ":3: constants line lacks n_c"),
-                                   (2, "# constants n_c v_t=1 phi_ref=0", ":3: malformed field 'n_c'"),
-                                   (2, "# constants n_c=x v_t=1 phi_ref=0", ":3: malformed field 'x'"),
-                                   (3, "# biases 0.0 x", ":4: malformed field 'x'"),
-                                   (5, "# snapshot zero converged=1", ":6: malformed field 'zero'"),
-                                   (5, "# snapshot 0 converged=yes", ":6: malformed field 'yes'")):
-            bad = list(lines)
-            bad[index] = text
-            (tmp_path / "bad.txt").write_text("\n".join(bad) + "\n")
-            with pytest.raises(dio.SweepFormatError, match=match):
-                dio.read_sweep(tmp_path / "bad.txt", mesh)
+        k, n = len(sweep), mesh.n_nodes
+        bad = tmp_path / "bad.wpnn"
+        for edit, match in (
+                (dict(iterations=np.full(k, 2.5)), "bad.wpnn: iterations holds values that are not whole"),
+                (dict(converged=np.full(k, np.nan)), "bad.wpnn: converged holds values that are not whole"),
+                (dict(phi=np.zeros((k, n - 1)), n=np.zeros((k, n - 1))),
+                 f"bad.wpnn: {n - 1} nodes per snapshot, mesh has {n}"),
+                (dict(phi=np.zeros((k - 1, n))),
+                 r"bad.wpnn: array shapes do not fit one sweep \(biases \(5,\), phi \(4, 63\)"),
+                (dict(residual_norm=np.zeros((k, 1))), "bad.wpnn: array shapes do not fit one sweep"),
+                (dict(drop=("n", "v_t", "iterations")), "bad.wpnn: sweep container lacks n, iterations, v_t$"),
+                (dict(biases=sweep.biases[::-1].copy()), "bad.wpnn: sweep biases must be strictly increasing"),
+                (dict(meta={"n_c": -1.0}), "bad.wpnn: n_c must be positive"),
+                (dict(meta={"v_t": None}), "bad.wpnn: float.. argument must be")):
+            _edit_container(path, bad, **edit)
+            with pytest.raises(dio.FormatError, match=match):
+                dio.read_sweep(bad, mesh)
 
-    def test_wrong_header_rejected(self, tmp_path):
+    def test_wrong_header_rejected(self, tiny, lr_surrogate, tmp_path):
         path = tmp_path / "x.txt"
-        path.write_text("something else\n")
-        with pytest.raises(dio.SweepFormatError, match=":1:"):
+        path.write_text("# wirepinn sweep v1\n")  # the text sweep of earlier releases
+        with pytest.raises(dio.FormatError, match="x.txt: bad magic"):
             dio.read_sweep(path)
+        dio.write_model(lr_surrogate, tmp_path / "sur.wpnn")
+        with pytest.raises(dio.FormatError, match="sur.wpnn: holds a 'surrogate' container, not a 'sweep' one"):
+            dio.read_sweep(tmp_path / "sur.wpnn")
+        mesh, sweep = tiny
+        dio.write_sweep(sweep, mesh, tmp_path / "sweep.wpnn")
+        with pytest.raises(dio.FormatError, match="holds a 'sweep' container, not a 'surrogate' one"):
+            dio.read_model(tmp_path / "sweep.wpnn")
+        dio._write_container(tmp_path / "odd.wpnn", "tensor", [("x", np.zeros(2))], {})
+        with pytest.raises(dio.FormatError, match="odd.wpnn: unknown container kind 'tensor'"):
+            dio.read_sweep(tmp_path / "odd.wpnn")
 
     def test_fingerprint_mismatch_rejected(self, tiny, tmp_path):
         mesh, sweep = tiny
-        path = tmp_path / "sweep.txt"
+        path = tmp_path / "sweep.wpnn"
         dio.write_sweep(sweep, mesh, path)
         other = build_device_mesh(DeviceConfig(nx=9, ny=7, length_nm=80.0))
-        with pytest.raises(dio.SweepFormatError, match="fingerprint"):
+        with pytest.raises(dio.FormatError, match="fingerprint"):
             dio.read_sweep(path, other)
+        with pytest.raises(dio.FormatError, match="fingerprint"):
+            dio.write_sweep(sweep, other, path)
 
     def test_read_without_mesh(self, tiny, tmp_path):
         mesh, sweep = tiny
-        path = tmp_path / "sweep.txt"
+        path = tmp_path / "sweep.wpnn"
         dio.write_sweep(sweep, mesh, path)
-        loaded = dio.read_sweep(path)
-        assert loaded.mesh_fingerprint == mesh.fingerprint()
-        assert np.array_equal(loaded.snapshots[0].phi, sweep.snapshots[0].phi)
+        _edit_container(path, tmp_path / "narrow.wpnn",  # no mesh, so no node count to check
+                        phi=np.zeros((len(sweep), 3)), n=np.zeros((len(sweep), 3)))
+        for name, width in (("sweep.wpnn", mesh.n_nodes), ("narrow.wpnn", 3)):
+            loaded = dio.read_sweep(tmp_path / name)
+            assert loaded.mesh_fingerprint == mesh.fingerprint()
+            assert loaded.snapshots[0].phi.shape == (width,)
+        assert np.array_equal(dio.read_sweep(path).snapshots[0].phi, sweep.snapshots[0].phi)
 
 
 class TestModelContainer:
@@ -119,8 +150,15 @@ class TestModelContainer:
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.wpnn"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(dio.ModelFormatError, match="magic"):
+        with pytest.raises(dio.FormatError, match="magic"):
             dio.read_model(path)
+
+    def test_missing_names_listed(self, lr_surrogate, tmp_path):
+        path = tmp_path / "sur.wpnn"
+        dio.write_model(lr_surrogate, path)
+        _edit_container(path, tmp_path / "bad.wpnn", drop=("left", "intercept", "rcond"))
+        with pytest.raises(dio.FormatError, match="surrogate container lacks left, intercept, rcond$"):
+            dio.read_model(tmp_path / "bad.wpnn")
 
     def test_wrong_version(self, lr_surrogate, tmp_path):
         path = tmp_path / "sur.wpnn"
@@ -129,14 +167,18 @@ class TestModelContainer:
         for version in (99, 1):  # 1: the dense-matrix container of earlier releases
             blob[4] = version
             path.write_bytes(bytes(blob))
-            with pytest.raises(dio.ModelFormatError, match=f"version {version};.*fit-lr"):
+            with pytest.raises(dio.FormatError, match=f"version {version};.*fit-lr"):
                 dio.read_model(path)
 
     def test_truncated_container(self, lr_surrogate, tmp_path):
         path = tmp_path / "sur.wpnn"
         dio.write_model(lr_surrogate, path)
-        path.write_bytes(path.read_bytes()[:100])
-        with pytest.raises(dio.ModelFormatError, match="truncated"):
+        blob = path.read_bytes()
+        path.write_bytes(blob[:100])
+        with pytest.raises(dio.FormatError, match="truncated"):
+            dio.read_model(path)
+        path.write_bytes(blob.replace(b'{"bias_max"', b'{"bias_max', 1))  # a meta block cut short
+        with pytest.raises(dio.FormatError, match="sur.wpnn: unreadable metadata"):
             dio.read_model(path)
 
     def test_unsupported_object(self, tmp_path):
@@ -168,14 +210,14 @@ class TestReports:
         lines = text.splitlines()
         lines[-1] = " ".join(lines[-1].split()[:3])  # a per-node row cut to 3 fields
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(dio.SweepFormatError, match=f":{len(lines)}: expected 5 fields, got 3"):
+        with pytest.raises(dio.FormatError, match=f":{len(lines)}: expected 5 fields, got 3"):
             dio.read_report(path)
         lines[-1] = "0 0.0 0.0 0.5 abc"  # a per-node row with a non-number
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(dio.SweepFormatError, match=f":{len(lines)}: malformed field 'abc'"):
+        with pytest.raises(dio.FormatError, match=f":{len(lines)}: malformed field 'abc'"):
             dio.read_report(path)
         path.write_text(f"{dio.REPORT_HEADER}\nv_gate = zero\n")
-        with pytest.raises(dio.SweepFormatError, match=":2: malformed field 'zero'"):
+        with pytest.raises(dio.FormatError, match=":2: malformed field 'zero'"):
             dio.read_report(path)
 
     def test_zero_error_renders_zero(self, tiny, tmp_path):
@@ -204,14 +246,14 @@ class TestHistoryAndCsv:
         dio.write_loss_history(history[:0], path)  # a header and no rows
         assert dio.read_loss_history(path).shape == (0, 5)
         path.write_text(f"{dio.LOSS_HISTORY_HEADER}\n0 0.001 1.0 2.0 3.0\n1 0.001 1.0 2.0\n")
-        with pytest.raises(dio.SweepFormatError, match=":3: expected 5 fields, got 4"):
+        with pytest.raises(dio.FormatError, match=":3: expected 5 fields, got 4"):
             dio.read_loss_history(path)
         path.write_text(f"{dio.LOSS_HISTORY_HEADER}\n0 0.001 1.0 abc 3.0\n")
-        with pytest.raises(dio.SweepFormatError, match=":2: malformed field 'abc'"):
+        with pytest.raises(dio.FormatError, match=":2: malformed field 'abc'"):
             dio.read_loss_history(path)
         figure = tmp_path / "figure.csv"  # any other table is refused
         dio.write_csv(figure, ["step", "total"], [history[:, 0], history[:, 4]])
-        with pytest.raises(dio.SweepFormatError, match="not a wirepinn loss history"):
+        with pytest.raises(dio.FormatError, match="not a wirepinn loss history"):
             dio.read_loss_history(figure)
 
     def test_csv_round_trip_exact(self, tmp_path):
@@ -227,7 +269,7 @@ class TestHistoryAndCsv:
 
     def test_atomic_write_leaves_no_temp(self, tiny, tmp_path):
         mesh, sweep = tiny
-        dio.write_sweep(sweep, mesh, tmp_path / "s.txt")
+        dio.write_sweep(sweep, mesh, tmp_path / "s.wpnn")
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".wirepinn-tmp-")]
         assert not leftovers
 
@@ -277,7 +319,32 @@ class TestRenderer:
         assert rows == ["3 a 0.5", "-4 b -0.0"]
 
 
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
 class TestRoundTripProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(sorted(dio._KINDS)),
+           values=st.lists(arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+                                  elements=st.floats()), min_size=6, max_size=6),
+           meta=st.lists(st.one_of(st.floats(), st.text()), min_size=7, max_size=7))
+    @example(kind="sweep",
+             values=[np.array(EDGES), np.zeros((0, 3)), np.array(-0.0), np.resize(np.array(EDGES), (2, 5)),
+                     np.zeros(0), np.array([5e-324, -5e-324])],
+             meta=[float("nan"), -0.0, float("inf"), 5e-324, "", "f" * 64, -1.7976931348623157e308])
+    def test_container(self, scratch, kind, values, meta):
+        names, keys, _ = dio._KINDS[kind]
+        stored = list(zip(names, values))
+        stored_meta = dict(zip(keys, meta))
+        dio._write_container(scratch / "c.wpnn", kind, stored, stored_meta)
+        back_kind, back, back_meta = dio._read_container(scratch / "c.wpnn")
+        assert back_kind == kind and list(back) == list(names)
+        for name, arr in stored:
+            assert back[name].dtype == np.float64 and back[name].shape == arr.shape
+            assert back[name].tobytes() == arr.tobytes()
+        assert {k: repr(v) for k, v in back_meta.items()} == {k: repr(v) for k, v in stored_meta.items()}
+
     @settings(max_examples=40, deadline=None)
     @given(phi=_column(63), n=_column(63), v_gate=st.floats(), residual=st.floats(),
            iterations=st.integers(0, 10**6), converged=st.booleans())
@@ -288,10 +355,10 @@ class TestRoundTripProperties:
         snap = Snapshot(v_gate=v_gate, phi=phi, n=n, converged=converged,
                         residual_norm=residual, newton_iterations=iterations)
         ds = SweepDataset(snapshots=[snap], mesh_fingerprint=mesh.fingerprint(), params=sweep.params)
-        dio.write_sweep(ds, mesh, scratch / "sweep.txt")
-        back = dio.read_sweep(scratch / "sweep.txt", mesh).snapshots[0]
-        assert _same(back.v_gate, v_gate) and _same(back.residual_norm, residual)
-        assert _same(back.phi, phi) and _same(back.n, n)
+        dio.write_sweep(ds, mesh, scratch / "sweep.wpnn")
+        back = dio.read_sweep(scratch / "sweep.wpnn", mesh).snapshots[0]
+        assert _bits(back.v_gate) == _bits(v_gate) and _bits(back.residual_norm) == _bits(residual)
+        assert _bits(back.phi) == _bits(phi) and _bits(back.n) == _bits(n)
         assert back.converged == converged and back.newton_iterations == iterations
 
     @settings(max_examples=40, deadline=None)
