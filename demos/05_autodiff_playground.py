@@ -5,8 +5,10 @@ import numpy as np
 
 from wirepinn import autodiff as ad
 
-# a small generator and a quadratic loss on its output
+# a small generator and a quadratic loss on its output; its parameters
+# are float32, as in training
 net = ad.GeneratorNet(n_out=6, hidden=(4, 3), seed=0)
+print("parameter dtype:", net.params[0].value.dtype)
 
 
 def loss_and_grad(v_scaled):
@@ -21,7 +23,12 @@ w = net.params[2]  # the second layer's weight (3, 4)
 print("loss:", loss)
 print("dL/db of the output layer:", net.params[-1].grad)
 
-# check one coordinate against a central difference
+# check one coordinate against a central difference.  A step of 1e-6 is
+# about 17 float32 ulps at 0.5, so cast the values up to float64 first:
+# the passes follow the parameters' dtype.
+for p in net.params:
+    p.value = p.value.astype(np.float64)
+net.backward(loss_and_grad(0.4)[1])
 h = 1e-6
 analytic = w.grad[2, 1]  # read before the probes: a later backward reuses the buffer
 keep = w.value[2, 1]

@@ -86,6 +86,10 @@ def _check_gradients(fast: bool):
     sur = sur_mod.fit(ds.snapshots, mesh.fingerprint())
     problem = pinn.PinnProblem(mesh=mesh, surrogate=sur, params=params)
     net = ad.GeneratorNet(n_out=mesh.n_nodes, hidden=(8, 16), seed=11)
+    # a step of 1e-6 is about 17 float32 ulps at 0.5, so difference in
+    # float64: the passes follow the parameters' dtype
+    for p in net.params:
+        p.value = p.value.astype(np.float64)
 
     def losses():
         return problem.build_losses(pinn.postprocess(net.forward(0.5 / pinn.V_GATE_SCALE)), 0.5)

@@ -13,6 +13,7 @@ bitwise.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 
@@ -64,13 +65,29 @@ def _fmt(x: float) -> str:
 def _rows(columns, sep: str) -> list:
     """Data rows: the i-th values of all columns, joined by ``sep``.
 
-    Arrays go through ``.tolist()`` and every value through ``str``, which
-    for a float is the same shortest round-trip text as ``_fmt`` and for
-    an integer its digits.  Other columns (lists of strings, iterators)
-    are taken as they are; the shortest column sets the row count.
+    Rendered column by column: arrays go through ``.tolist()`` and every
+    value through ``str``, which for a float is the same shortest
+    round-trip text as ``_fmt`` and for an integer its digits.  Other
+    columns (lists of strings) are taken as they are; the shortest column
+    sets the row count.
     """
-    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-    return [sep.join(map(str, row)) for row in zip(*cols)]
+    cols = [map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in columns]
+    return [sep.join(row) for row in zip(*cols)]
+
+
+# Rows rendered and written at a time: a 221,493-row scatter CSV then never
+# sits in memory whole, as text or as Python objects.
+_CHUNK_ROWS = 8192
+
+
+def _text(head, columns, sep: str):
+    """A text file as byte chunks: the ``head`` lines, then the ``_rows`` of
+    ``columns``, _CHUNK_ROWS at a time.  Every line ends in a newline."""
+    yield "".join(line + "\n" for line in head).encode()
+    n = min(map(len, columns), default=0)
+    for lo in range(0, n, _CHUNK_ROWS):
+        rows = _rows([c[lo:lo + _CHUNK_ROWS] for c in columns], sep)
+        yield ("\n".join(rows) + "\n").encode()
 
 
 def _node_columns(mesh: TensorMesh) -> list:
@@ -78,7 +95,8 @@ def _node_columns(mesh: TensorMesh) -> list:
     return [np.arange(mesh.n_nodes), np.repeat(mesh.x_nodes, mesh.ny), np.tile(mesh.y_nodes, mesh.nx)]
 
 
-def _atomic_write(path, data: bytes) -> None:
+def _atomic_write(path, chunks) -> None:
+    """Write the byte strings of ``chunks``, in order, as the file ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     # os.open applies the umask to 0o666, as open(path, "w") does;
@@ -87,7 +105,8 @@ def _atomic_write(path, data: bytes) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -104,17 +123,33 @@ def _pack_str(s: str) -> bytes:
 
 
 class _Reader:
-    def __init__(self, data: bytes, path):
-        self.data = data
-        self.off = 0
+    """Reads a container's fields in order from an open file; a field
+    that runs past the end of the file raises before anything is read."""
+
+    def __init__(self, fh, path):
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
         self.path = path
 
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.data):
+    def left(self) -> int:
+        """Bytes after the last field read."""
+        return self.size - self.fh.tell()
+
+    def _need(self, n: int) -> None:
+        if n > self.left():
             raise FormatError(f"{self.path}: truncated container")
-        out = self.data[self.off:self.off + n]
-        self.off += n
-        return out
+
+    def take(self, n: int) -> bytes:
+        self._need(n)
+        return self.fh.read(n)
+
+    def array(self, shape) -> np.ndarray:
+        """The next little-endian float64 array of ``shape``, read straight
+        into its own aligned buffer, with no copy of the file's bytes."""
+        self._need(8 * math.prod(shape))
+        arr = np.empty(shape, dtype="<f8")
+        self.fh.readinto(arr.reshape(-1).view(np.uint8))
+        return arr
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
@@ -136,40 +171,37 @@ def _write_container(path, kind: str, arrays, meta: dict) -> None:
         blob.append(struct.pack("<B", arr.ndim))
         blob.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         blob.append(arr.tobytes())
-    _atomic_write(path, b"".join(blob))
+    _atomic_write(path, blob)
 
 
 def _read_container(path):
     """A container file -> (kind, arrays by name, meta), unchecked beyond
     its framing."""
     with open(path, "rb") as fh:
-        reader = _Reader(fh.read(), path)
-    if reader.take(4) != MODEL_MAGIC:
-        raise FormatError(f"{path}: bad magic, not a wirepinn container")
-    (version,) = reader.unpack("<I")
-    if version != MODEL_VERSION:
-        raise FormatError(
-            f"{path}: unsupported container version {version}; this release reads version "
-            f"{MODEL_VERSION}, so re-run `wirepinn generate` or `wirepinn fit-lr` to rewrite it"
-        )
-    kind = reader.string()
-    (meta_len,) = reader.unpack("<I")
-    raw = reader.take(meta_len)
-    try:
-        meta = json.loads(raw.decode())
-    except ValueError as exc:
-        raise FormatError(f"{path}: unreadable metadata ({exc})") from None
-    (n_arrays,) = reader.unpack("<I")
-    arrays = {}
-    for _ in range(n_arrays):
-        name = reader.string()
-        (ndim,) = reader.unpack("<B")
-        shape = reader.unpack(f"<{ndim}I")
-        count = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(reader.take(8 * count), dtype="<f8").reshape(shape).copy()
-        arrays[name] = arr
-    if reader.off != len(reader.data):
-        raise FormatError(f"{path}: {len(reader.data) - reader.off} trailing bytes")
+        reader = _Reader(fh, path)
+        if reader.take(4) != MODEL_MAGIC:
+            raise FormatError(f"{path}: bad magic, not a wirepinn container")
+        (version,) = reader.unpack("<I")
+        if version != MODEL_VERSION:
+            raise FormatError(
+                f"{path}: unsupported container version {version}; this release reads version "
+                f"{MODEL_VERSION}, so re-run `wirepinn generate` or `wirepinn fit-lr` to rewrite it"
+            )
+        kind = reader.string()
+        (meta_len,) = reader.unpack("<I")
+        raw = reader.take(meta_len)
+        try:
+            meta = json.loads(raw.decode())
+        except ValueError as exc:
+            raise FormatError(f"{path}: unreadable metadata ({exc})") from None
+        (n_arrays,) = reader.unpack("<I")
+        arrays = {}
+        for _ in range(n_arrays):
+            name = reader.string()
+            (ndim,) = reader.unpack("<B")
+            arrays[name] = reader.array(reader.unpack(f"<{ndim}I"))
+        if reader.left():
+            raise FormatError(f"{path}: {reader.left()} trailing bytes")
     return kind, arrays, meta
 
 
@@ -310,7 +342,7 @@ _KINDS = {
 
 def write_report(report, mesh: TensorMesh, path) -> None:
     """Error report as key/value lines plus per-node error columns."""
-    lines = [
+    head = [
         REPORT_HEADER,
         f"v_gate = {_fmt(report.v_gate)}",
         f"v_gate_extracted = {_fmt(report.v_gate_extracted)}",
@@ -323,9 +355,7 @@ def write_report(report, mesh: TensorMesh, path) -> None:
         "",
         "# node x_um y_um phi_err_pct logn_err_pct",
     ]
-    lines += _rows([*_node_columns(mesh), report.phi_err_pct, report.logn_err_pct], " ")
-    lines.append("")
-    _atomic_write(path, "\n".join(lines).encode())
+    _atomic_write(path, _text(head, [*_node_columns(mesh), report.phi_err_pct, report.logn_err_pct], " "))
 
 
 def read_report(path):
@@ -353,10 +383,7 @@ def read_report(path):
 
 def write_loss_history(history: np.ndarray, path) -> None:
     """Loss history rows: step lr loss_boundary loss_fd total."""
-    lines = [LOSS_HISTORY_HEADER]
-    lines += _rows([history[:, 0].astype(np.int64), *history[:, 1:5].T], " ")
-    lines.append("")
-    _atomic_write(path, "\n".join(lines).encode())
+    _atomic_write(path, _text([LOSS_HISTORY_HEADER], [history[:, 0].astype(np.int64), *history[:, 1:5].T], " "))
 
 
 def read_loss_history(path) -> np.ndarray:
@@ -377,7 +404,4 @@ def read_loss_history(path) -> np.ndarray:
 
 def write_csv(path, header, columns) -> None:
     """Columnar CSV with exact float rendering (figure-data emission)."""
-    lines = [",".join(header)]
-    lines += _rows([np.asarray(c) for c in columns], ",")
-    lines.append("")
-    _atomic_write(path, "\n".join(lines).encode())
+    _atomic_write(path, _text([",".join(header)], [np.asarray(c) for c in columns], ","))

@@ -231,7 +231,9 @@ def solve_bias(problem: PinnProblem, v_gate: float, opts: SolveOptions) -> PinnR
     # transient excursion, and the trained state for a given epoch budget
     # should not depend on whether the budget ends mid-excursion.  The
     # prediction depends on the parameters only through the generator's
-    # output, so that output is all that is kept.
+    # output, so that output is all that is kept.  The generator and Adam
+    # run in float32; its output, the losses, this state, the history and
+    # the checkpoints are float64 (see `autodiff`).
     best_loss = np.inf
     best_n_tilde = np.empty(problem.mesh.n_nodes)
 

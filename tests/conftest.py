@@ -74,6 +74,18 @@ def fixed_phi():
     return make
 
 
+@pytest.fixture(scope="session")
+def float64_net():
+    """``float64_net(net)``: ``net`` with its values cast up to float64,
+    so its passes run in float64.  A central difference with h = 1e-6
+    needs it: that step is about 17 float32 ulps at 0.5."""
+    def cast(net):
+        for p in net.params:
+            p.value = p.value.astype(np.float64)
+        return net
+    return cast
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)

@@ -49,16 +49,37 @@ def _quadratic(net, v_scaled, target):
 
 def _layer_inputs(net, v_scaled):
     """Each dense layer's input, recomputed from the parameters."""
-    inputs = [np.array([v_scaled])]
+    inputs = [np.array([v_scaled], dtype=net.params[0].value.dtype)]
     for w, b in zip(net.params[:-2:2], net.params[1:-2:2]):
         inputs.append(ad._elu(w.value @ inputs[-1] + b.value)[0])
     return inputs
 
 
+def _assert_textbook_adam(rng, dtype):
+    # larger than one block and not a multiple of it; the textbook
+    # formulas in the parameter's dtype, Python floats as scalars
+    n = 70001
+    assert n > ad._ADAM_BLOCK and n % ad._ADAM_BLOCK
+    w = ad.Tensor(rng.standard_normal(n).astype(dtype))
+    state = ad.AdamState([w], lr=3e-3)
+    p, m, v = w.value.copy(), np.zeros(n, dtype), np.zeros(n, dtype)
+    b1, b2, eps = ad.ADAM_BETA1, ad.ADAM_BETA2, ad.ADAM_EPS
+    for t in range(1, 6):
+        g = rng.standard_normal(n).astype(dtype)
+        ad.adam_step(state, [w], [g])
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        p = p - (state.lr / (1.0 - b1**t)) * m / (np.sqrt(v * (1.0 / (1.0 - b2**t))) + eps)
+        assert np.array_equal(state.m[0], m)
+        assert np.array_equal(state.v[0], v)
+        assert np.array_equal(w.value, p)
+    assert all(a.dtype == dtype for a in (w.value, state.m[0], state.v[0], *state._scratch))
+
+
 class TestPrimitives:
-    def test_dense_gradients(self, rng):
+    def test_dense_gradients(self, rng, float64_net):
         # GeneratorNet.backward against central differences, every W and b
-        net = ad.GeneratorNet(n_out=12, hidden=(5, 7), seed=3)
+        net = float64_net(ad.GeneratorNet(n_out=12, hidden=(5, 7), seed=3))
         net.backward(_quadratic(net, 0.4, 0.3)[1])
         grads = [p.grad.copy() for p in net.params]
         h = 1e-6
@@ -178,6 +199,22 @@ class TestPrimitives:
 
 
 class TestGeneratorNet:
+    def test_float32_parameters_float64_output(self):
+        # the generator and its gradients are float32; the last ELU, and
+        # so the output, float64.  Rounding the float64 draw keeps a seed's
+        # meaning.
+        net = ad.GeneratorNet(n_out=40, hidden=(4, 8), seed=42)
+        rng = np.random.default_rng(42)
+        for w, fan_in in zip(net.params[::2], (1, 4, 8)):
+            bound = 1.0 / np.sqrt(fan_in)
+            drawn = rng.uniform(-bound, bound, size=w.value.shape)
+            assert np.array_equal(w.value, drawn.astype(np.float32))
+        assert all(p.value.dtype == np.float32 for p in net.params)
+        out = net.forward(0.7)
+        assert out.dtype == np.float64
+        net.backward(np.ones(40))
+        assert all(p.grad.dtype == np.float32 for p in net.params)
+
     def test_output_shape_and_determinism(self):
         net = ad.GeneratorNet(n_out=2193, seed=42)
         out1 = net.forward(0.6)
@@ -250,22 +287,20 @@ class TestAdam:
         assert wp.value[0] == pytest.approx(-wm.value[0], rel=1e-15)
 
     def test_blocked_update_matches_textbook(self, rng):
-        # larger than one block and not a multiple of it
-        n = 70001
-        assert n > ad._ADAM_BLOCK and n % ad._ADAM_BLOCK
-        w = ad.Tensor(rng.standard_normal(n))
-        state = ad.AdamState([w], lr=3e-3)
-        p, m, v = w.value.copy(), np.zeros(n), np.zeros(n)
-        b1, b2, eps = ad.ADAM_BETA1, ad.ADAM_BETA2, ad.ADAM_EPS
-        for t in range(1, 6):
-            g = rng.standard_normal(n)
-            ad.adam_step(state, [w], [g])
-            m = b1 * m + (1.0 - b1) * g
-            v = b2 * v + (1.0 - b2) * g * g
-            p = p - (state.lr / (1.0 - b1**t)) * m / (np.sqrt(v * (1.0 / (1.0 - b2**t))) + eps)
-            assert np.array_equal(state.m[0], m)
-            assert np.array_equal(state.v[0], v)
-            assert np.array_equal(w.value, p)
+        _assert_textbook_adam(rng, np.float64)
+
+    def test_blocked_update_matches_textbook_float32(self, rng):
+        _assert_textbook_adam(rng, np.float32)
+
+    def test_float32_parameter_keeps_dtype(self):
+        # a float32 Tensor stays float32, a float64 gradient is rounded to
+        # it, and a whole-number value becomes float64
+        w = ad.Tensor(np.array([0.5, -1.0], dtype=np.float32))
+        state = ad.AdamState([w], lr=1e-3)
+        ad.adam_step(state, [w], [np.array([0.25, -0.5])])
+        assert w.value.dtype == state.m[0].dtype == state.v[0].dtype == np.float32
+        assert ad.Tensor(np.array([1, 2])).value.dtype == np.float64
+        assert ad.Tensor([0.5]).value.dtype == np.float64
 
     def test_shape_mismatch_rejected(self):
         w = ad.Tensor(np.zeros(3))
