@@ -30,7 +30,9 @@ for p in net.params:
     p.value = p.value.astype(np.float64)
 net.backward(loss_and_grad(0.4)[1])
 h = 1e-6
-analytic = w.grad[2, 1]  # read before the probes: a later backward reuses the buffer
+# a weight's gradient is the factor pair (dL/dz, layer input) of its
+# rank-1 outer product; Adam takes the pair without forming it
+analytic = np.outer(*w.grad)[2, 1]
 keep = w.value[2, 1]
 w.value[2, 1] = keep + h
 f_plus = loss_and_grad(0.4)[0]

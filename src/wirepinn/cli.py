@@ -162,8 +162,9 @@ def cmd_solve(args) -> int:
         dataset_io.write_sweep(SweepDataset(snapshots=[pred], mesh_fingerprint=mesh.fingerprint(),
                                             params=problem.params),
                                mesh, prefix + "_prediction.wpnn")
+        l1, l2, _ = pinn.best_losses_within(result.history, result.epochs)
         print(f"V_G={v:g} V: {result.epochs} epochs in {result.wall_time_s/60:.1f} min, "
-              f"final losses l1={result.history[-1,2]:.3e} l2={result.history[-1,3]:.3e}")
+              f"best-state losses l1={l1:.3e} l2={l2:.3e}")
         if not pred.converged:
             logger.warning("V_G=%g V: best total loss %.3e above the accept_loss bound %.1e",
                            v, result.best_loss, pinn.ACCEPT_LOSS)

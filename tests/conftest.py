@@ -86,6 +86,17 @@ def float64_net():
     return cast
 
 
+@pytest.fixture(scope="session")
+def dense_grads():
+    """``dense_grads(net)``: every gradient ``backward`` last set, as a new
+    array of its parameter's shape; a weight's is the outer product of
+    its factor pair."""
+    def dense(net):
+        return [np.outer(*p.grad) if isinstance(p.grad, tuple) else p.grad.copy()
+                for p in net.params]
+    return dense
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)

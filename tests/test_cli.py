@@ -156,6 +156,19 @@ class TestSolveAndSweep:
         messages = [r.getMessage() for r in caplog.records if "accept_loss" in r.getMessage()]
         assert messages == [f"V_G=0.2 V: best total loss {best:.3e} above the accept_loss bound 1.0e-06"]
 
+    def test_printed_losses_are_the_reports(self, workdir, tmp_path, capsys):
+        # the last epoch is not the best here, and the printed losses are
+        # the best state's, as in the report and the prediction
+        out = tmp_path / "printed"
+        assert main(["solve", "--config", str(workdir["cfg"]), "--surrogate", str(workdir["surrogate"]),
+                     "--sweep", str(workdir["sweep"]), "--vg", "0.3",
+                     "--epochs", "30", "--out", str(out)]) == 0
+        history = dio.read_loss_history(out / "vg0.3_loss_history.csv")
+        assert history[:, 4].min() < history[-1, 4]
+        scalars, _ = dio.read_report(out / "vg0.3_report.txt")
+        assert (f"best-state losses l1={scalars['final_loss_boundary']:.3e} "
+                f"l2={scalars['final_loss_fd']:.3e}\n") in capsys.readouterr().out
+
     def test_sweep_command(self, workdir, tmp_path, capsys):
         out = tmp_path / "sweepdir"
         rc = main(["solve", "--config", str(workdir["cfg"]), "--surrogate", str(workdir["surrogate"]),

@@ -134,7 +134,8 @@ class TestSurrogateFactorization:
 class TestTrainingGradient:
     @pytest.mark.parametrize("w_boundary, w_fd", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)],
                              ids=["boundary", "fd", "both"])
-    def test_matches_central_differences(self, small_problem, w_boundary, w_fd, float64_net):
+    def test_matches_central_differences(self, small_problem, w_boundary, w_fd, float64_net,
+                                         dense_grads):
         # with both terms, phi and n_tilde each sum two gradient paths
         problem = PinnProblem(mesh=small_problem.mesh, surrogate=small_problem.surrogate,
                               params=small_problem.params, w_boundary=w_boundary, w_fd=w_fd)
@@ -145,7 +146,7 @@ class TestTrainingGradient:
 
         _, _, f0, g = losses()
         net.backward(g)
-        grads = [p.grad.copy() for p in net.params]
+        grads = dense_grads(net)
         rng = np.random.default_rng(5)
         h = 1e-6
         # central differences lose about eps * |f| / h to rounding
@@ -162,7 +163,7 @@ class TestTrainingGradient:
                 fd = (f_plus - f_minus) / (2 * h)
                 assert abs(g[idx] - fd) <= 1e-4 * max(abs(g[idx]), abs(fd)) + atol, (p.value.shape, idx)
 
-    def test_float32_backward_matches_float64(self, problem, float64_net):
+    def test_float32_backward_matches_float64(self, problem, float64_net, dense_grads):
         # the generator's float32 gradients against the same passes in
         # float64 at the same rounded parameters, each array's worst error
         # relative to its largest entry.  Measured on this problem at
@@ -171,7 +172,7 @@ class TestTrainingGradient:
         def grads(net, v_gate):
             n_tilde = postprocess(net.forward(v_gate / pinn.V_GATE_SCALE))
             net.backward(problem.build_losses(n_tilde, v_gate)[3])
-            return [p.grad.copy() for p in net.params]
+            return dense_grads(net)
 
         for v_gate in (0.15, 0.5, 0.75):
             net32 = ad.GeneratorNet(n_out=problem.mesh.n_nodes, seed=42)
@@ -193,6 +194,13 @@ class TestSolveBias:
         snap = small_sweep.snapshot_at(0.45)
         report = evaluate_against(result.prediction, snap, gate_nodes=small_problem.gate_nodes)
         assert np.isfinite(report.max_phi_err_pct)
+
+    def test_two_runs_bit_equal(self, small_problem):
+        # the BLAS calls of the forward, backward and Adam are deterministic
+        a, b = (solve_bias(small_problem, 0.3, SolveOptions(epochs=200, seed=3)) for _ in range(2))
+        assert np.array_equal(a.history, b.history)
+        assert np.array_equal(a.prediction.phi, b.prediction.phi)
+        assert np.array_equal(a.prediction.n, b.prediction.n)
 
     def test_checkpoints_recorded(self, small_problem):
         result = solve_bias(small_problem, 0.3, SolveOptions(epochs=300, seed=1,
