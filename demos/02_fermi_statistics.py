@@ -29,4 +29,4 @@ print(f"round trip F(inverse(u)) - u at u=3.5: {fermi.fermi_half_approx(fermi.in
 phis = np.linspace(0.0, 0.75, 6)
 print("\nphi [V] -> n [cm^-3] on silicon:")
 for phi in phis:
-    print(f"  {phi:5.2f} -> {fermi.electron_density(phi, params):.3e}")
+    print(f"  {phi:5.2f} -> {fermi.electron_density(phi, params)[0]:.3e}")

@@ -5,7 +5,7 @@
 import numpy as np
 
 from wirepinn import surrogate
-from wirepinn.mesh import build_device_mesh, nearest_node
+from wirepinn.mesh import build_device_mesh, probe_node
 from wirepinn.oracle import extract_probe, ramp_sweep
 from wirepinn import fermi
 
@@ -15,7 +15,8 @@ params = fermi.default_params()
 dataset = ramp_sweep(mesh, params, 0.0, 0.75, 0.0075)
 print(f"sweep: {len(dataset)} snapshots, V_G {dataset.biases[0]:g} .. {dataset.biases[-1]:g} V")
 
-node, biases, phi_probe, n_probe = extract_probe(dataset, mesh, 0.0405, 0.002)
+node = probe_node(mesh)
+biases, phi_probe, n_probe = extract_probe(dataset, mesh, node)
 print(f"probe node {node}: phi rises {phi_probe[0]:.3f} -> {phi_probe[-1]:.3f} V, "
       f"n spans {n_probe[0]:.2e} -> {n_probe[-1]:.2e} cm^-3")
 

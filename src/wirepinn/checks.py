@@ -26,7 +26,7 @@ __all__ = ["run_self_checks"]
 def _check_fermi_accuracy(fast: bool):
     step = 0.25 if fast else 0.05
     grid = np.arange(-30.0, 50.0 + step / 2, step)
-    approx = fermi.fermi_half_approx(grid)
+    approx = fermi.fermi_half(grid)[0]
     worst = 0.0
     for eta, a in zip(grid, approx):
         q = fermi.fermi_half_quadrature(eta)
@@ -38,7 +38,7 @@ def _check_fermi_derivative(fast: bool):
     grid = np.linspace(-25.0, 45.0, 30 if fast else 200)
     h = 1e-6
     fd = (fermi.fermi_half_approx(grid + h) - fermi.fermi_half_approx(grid - h)) / (2 * h)
-    an = fermi.fermi_half_deriv(grid)
+    an = fermi.fermi_half(grid)[1]
     rel = np.max(np.abs(an - fd) / np.abs(fd))
     return rel <= 1e-5, f"analytic derivative vs central differences: {rel:.3e} (<= 1e-5)"
 

@@ -76,7 +76,8 @@ def cmd_generate(args) -> int:
                 residual=resid,
             )
     dataset_io.write_sweep(dataset, mesh, args.out)
-    node, biases, phi, n = extract_probe(dataset, mesh, *mesh.node_xy(probe_node(mesh)))
+    node = probe_node(mesh)
+    biases, phi, n = extract_probe(dataset, mesh, node)
     probe_csv = os.path.splitext(args.out)[0] + "_probe.csv"
     dataset_io.write_csv(probe_csv, ["v_gate", "phi_V", "n_cm3"], [biases, phi, n])
     print(f"wrote {len(dataset)} snapshots to {args.out} (probe node {node} -> {probe_csv})")

@@ -1,11 +1,12 @@
 """Fermi-Dirac statistics of order one half.
 
 Provides the closed-form Bednarczyk approximation of the Fermi integral
-F_1/2, its exact analytic derivative, a slow quadrature reference, the
-inverse, and the potential -> electron-density closure that is shared by
-the nonlinear Poisson oracle and the self-supervised solver.  Sharing one
-closure makes the solver's density-consistency loss exactly zero on
-oracle fields.
+F_1/2 together with its exact analytic derivative, a slow quadrature
+reference, the inverse, and the potential -> electron-density closure
+that is shared by the nonlinear Poisson oracle and the self-supervised
+solver.  Sharing one closure makes the solver's density-consistency loss
+exactly zero on oracle fields.  The closure returns its derivative with
+its value, so a Newton step or a training epoch evaluates it once.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ __all__ = [
     "SemiconductorParams",
     "default_params",
     "electron_density",
-    "electron_density_deriv",
+    "fermi_half",
     "fermi_half_approx",
-    "fermi_half_deriv",
     "fermi_half_quadrature",
     "inverse_fermi_half",
 ]
@@ -61,7 +61,8 @@ def fermi_half_approx(eta):
     F(eta) = 1 / (exp(-eta) + 3*sqrt(pi)/4 * nu(eta)**(-3/8)) with
     nu(eta) = eta**4 + 50 + 33.6*eta*(1 - 0.68*exp(-0.17*(eta + 1)**2)),
     normalized so that F -> exp(eta) in the nondegenerate limit.  Accurate
-    to about 0.4% relative against ``fermi_half_quadrature``.
+    to about 0.4% relative against ``fermi_half_quadrature``.  The value
+    form, for scalar searches; ``fermi_half`` also gives the derivative.
 
     Accepts scalars or arrays; total on finite input.
     """
@@ -72,11 +73,13 @@ def fermi_half_approx(eta):
     return out if out.ndim else float(out)
 
 
-def fermi_half_deriv(eta):
-    """Exact derivative of ``fermi_half_approx`` (not of the true integral).
+def fermi_half(eta):
+    """``fermi_half_approx`` and its exact derivative in one pass: (F, dF/deta).
 
-    Differentiating the approximation itself keeps Newton Jacobians and
-    backpropagation consistent with finite differences of the closure in use.
+    F is bit-equal to ``fermi_half_approx``.  The derivative is that of the
+    approximation itself (not of the true integral), which keeps Newton
+    Jacobians and backpropagation consistent with finite differences of the
+    closure in use.
     """
     eta = np.asarray(eta, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -88,7 +91,7 @@ def fermi_half_deriv(eta):
         df = (e + 0.375 * _BED_C * nu**-1.375 * dnu) * f * f
         # exp(-eta) overflows below about -700; there F = exp(eta) exactly.
         df = np.where(eta < -300.0, np.exp(eta), df)
-    return df if df.ndim else float(df)
+    return (f, df) if f.ndim else (float(f), float(df))
 
 
 def fermi_half_quadrature(eta: float) -> float:
@@ -148,33 +151,28 @@ def inverse_fermi_half(u: float) -> float:
         maxiter=200,
     )
     for _ in range(2):
-        f = fermi_half_approx(eta)
+        f, df = fermi_half(eta)
         if abs(f - u) <= 1e-13 * u:
             break
-        eta -= (f - u) / fermi_half_deriv(eta)
+        eta -= (f - u) / df
     return float(eta)
 
 
 def electron_density(phi, params: SemiconductorParams, silicon_mask=None):
-    """Electron density n = N_C * F_1/2((phi - phi_ref)/V_T) [cm^-3].
+    """Electron density n = N_C * F_1/2((phi - phi_ref)/V_T) [cm^-3] and its
+    derivative dn/dphi [cm^-3 / V]: (n, dn).
 
-    Region aware: where ``silicon_mask`` is False the density is zero
-    (insulator nodes carry no mobile charge).
+    Region aware: where ``silicon_mask`` is False both are zero (insulator
+    nodes carry no mobile charge).
     """
     eta = (np.asarray(phi, dtype=float) - params.phi_ref) / params.v_t
-    n = params.n_c * fermi_half_approx(eta)
+    f, df = fermi_half(eta)
+    n = params.n_c * f
+    dn = params.n_c * df / params.v_t
     if silicon_mask is not None:
         n = np.where(silicon_mask, n, 0.0)
-    return n if np.ndim(n) else float(n)
-
-
-def electron_density_deriv(phi, params: SemiconductorParams, silicon_mask=None):
-    """dn/dphi of ``electron_density`` [cm^-3 / V], zero off silicon."""
-    eta = (np.asarray(phi, dtype=float) - params.phi_ref) / params.v_t
-    d = params.n_c * fermi_half_deriv(eta) / params.v_t
-    if silicon_mask is not None:
-        d = np.where(silicon_mask, d, 0.0)
-    return d if np.ndim(d) else float(d)
+        dn = np.where(silicon_mask, dn, 0.0)
+    return (n, dn) if np.ndim(n) else (float(n), float(dn))
 
 
 def default_params() -> SemiconductorParams:

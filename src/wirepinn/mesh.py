@@ -38,7 +38,6 @@ __all__ = [
     "FvCoefficients",
     "OXIDE",
     "Q_COULOMB",
-    "REGION_NAMES",
     "SILICON",
     "TensorMesh",
     "assemble_fv_coefficients",
@@ -55,8 +54,6 @@ CONTACT_NONE = 0
 CONTACT_GATE = 1
 CONTACT_SOURCE = 2
 CONTACT_DRAIN = 3
-
-REGION_NAMES = {SILICON: "Si", OXIDE: "Ox"}
 
 Q_COULOMB = 1.602176634e-19  # elementary charge [C]
 EPS0_F_PER_CM = 8.8541878128e-14  # vacuum permittivity [F/cm]

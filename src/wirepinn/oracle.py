@@ -30,7 +30,6 @@ from .mesh import (
     Q_COULOMB,
     TensorMesh,
     assemble_fv_coefficients,
-    nearest_node,
 )
 
 __all__ = [
@@ -161,8 +160,10 @@ def solve_equilibrium(
         F_c = sum_edges g * (phi_nb - phi_c) + q * (N_D - N_A - n(phi_c)) * vol_c
     and convergence requires max|F| <= default_tolerance over all
     non-Dirichlet nodes.  Newton updates are clamped to
-    +-DAMPING_CLAMP_VT * V_T per node.  ``zero_charge`` drops doping and
-    carriers, leaving the Laplace problem of the self-check.
+    +-DAMPING_CLAMP_VT * V_T per node.  Each iteration evaluates the
+    closure once: its n enters the residual, its dn/dphi the Jacobian's
+    diagonal.  ``zero_charge`` drops doping and carriers, leaving the
+    Laplace problem of the self-check.
     Raises ConvergenceError on stagnation or a singular linear system.
     """
     nx, ny = mesh.nx, mesh.ny
@@ -173,7 +174,8 @@ def solve_equilibrium(
     bc_mask = mesh.dirichlet_mask()
     phi_bi = 0.0 if zero_charge else built_in_potential(mesh, params)
     bc = _dirichlet_values(mesh, v_gate, phi_bi)
-    si = mesh.silicon_mask()
+    # no silicon means no carriers: the closure returns zeros for n and dn
+    si = np.zeros(n_nodes, dtype=bool) if zero_charge else mesh.silicon_mask()
     doping = np.zeros(n_nodes) if zero_charge else mesh.net_doping
     q_vol = Q_COULOMB * coeffs.volume
 
@@ -186,12 +188,7 @@ def solve_equilibrium(
     gx, gy = coeffs.gx, coeffs.gy
     free = ~bc_mask
 
-    def density(p):
-        if zero_charge:
-            return np.zeros(n_nodes)
-        return fermi.electron_density(p, params, si)
-
-    def residual(p):
+    def residual(p, n):
         p2 = p.reshape(nx, ny)
         f = np.zeros((nx, ny))
         flux_x = gx * (p2[1:, :] - p2[:-1, :])
@@ -201,64 +198,48 @@ def solve_equilibrium(
         f[:, :-1] += flux_y
         f[:, 1:] -= flux_y
         f = f.reshape(-1)
-        f += q_vol * (doping - density(p))
+        f += q_vol * (doping - n)
         f[bc_mask] = p[bc_mask] - bc[bc_mask]
         return f
 
-    # Banded Jacobian storage for solve_banded: ab[u + i - j, j] = J[i, j]
-    u = ny
+    # The banded Jacobian for solve_banded, ab[ny + i - j, j] = J[i, j], is
+    # assembled once: only the closure term of its diagonal changes.
     ab = np.zeros((2 * ny + 1, n_nodes))
-
-    def jacobian(p):
-        ab[:] = 0.0
-        diag = np.zeros((nx, ny))
-        diag[:-1, :] -= gx
-        diag[1:, :] -= gx
-        diag[:, :-1] -= gy
-        diag[:, 1:] -= gy
-        diag = diag.reshape(-1)
-        if not zero_charge:
-            diag -= q_vol * fermi.electron_density_deriv(p, params, si)
-        diag[bc_mask] = 1.0
-
-        # y edges couple i and i+1 only within a column (i % ny != ny - 1)
-        gy_vals = np.zeros(n_nodes - 1)
-        gy_vals[(np.arange(n_nodes - 1) % ny) != ny - 1] = gy.reshape(-1)
-        upper_y = gy_vals.copy()  # J[i, i+1]
-        lower_y = gy_vals.copy()  # J[i+1, i]
-        upper_x = gx.reshape(-1).copy()  # J[i, i+ny]
-        lower_x = gx.reshape(-1).copy()  # J[i+ny, i]
-
-        # zero the off-diagonals of Dirichlet rows
-        upper_y[bc_mask[:-1]] = 0.0
-        lower_y[bc_mask[1:]] = 0.0
-        upper_x[bc_mask[:-ny]] = 0.0
-        lower_x[bc_mask[ny:]] = 0.0
-
-        ab[u, :] = diag
-        ab[u - 1, 1:] = upper_y
-        ab[u + 1, :-1] = lower_y
-        ab[0, ny:] = upper_x
-        ab[2 * ny, :-ny] = lower_x
-        return ab
+    lap_diag = np.zeros((nx, ny))
+    lap_diag[:-1, :] -= gx
+    lap_diag[1:, :] -= gx
+    lap_diag[:, :-1] -= gy
+    lap_diag[:, 1:] -= gy
+    lap_diag = lap_diag.reshape(-1)
+    # y edges couple i and i+1 only within a column (i % ny != ny - 1);
+    # Dirichlet rows keep only their unit diagonal
+    gy_vals = np.zeros(n_nodes - 1)
+    gy_vals[(np.arange(n_nodes - 1) % ny) != ny - 1] = gy.reshape(-1)
+    ab[ny - 1, 1:] = np.where(bc_mask[:-1], 0.0, gy_vals)            # J[i, i+1]
+    ab[ny + 1, :-1] = np.where(bc_mask[1:], 0.0, gy_vals)            # J[i+1, i]
+    ab[0, ny:] = np.where(bc_mask[:-ny], 0.0, gx.reshape(-1))        # J[i, i+ny]
+    ab[2 * ny, :-ny] = np.where(bc_mask[ny:], 0.0, gx.reshape(-1))   # J[i+ny, i]
 
     rnorm = float("inf")
     for iteration in range(MAX_NEWTON_ITERATIONS + 1):
-        f = residual(phi)
+        n, dn = fermi.electron_density(phi, params, si)
+        f = residual(phi, n)
         rnorm = float(np.max(np.abs(f[free]))) if free.any() else 0.0
         if rnorm <= tol:
             return Snapshot(
                 v_gate=float(v_gate),
                 phi=phi,
-                n=density(phi),
+                n=n,
                 converged=True,
                 residual_norm=rnorm,
                 newton_iterations=iteration,
             )
         if iteration == MAX_NEWTON_ITERATIONS:
             break
+        ab[ny] = lap_diag - q_vol * dn
+        ab[ny, bc_mask] = 1.0
         try:
-            dphi = solve_banded((ny, ny), jacobian(phi), -f)
+            dphi = solve_banded((ny, ny), ab, -f)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
             raise ConvergenceError(
                 f"singular linear system at V_G={v_gate} (iteration {iteration})",
@@ -359,18 +340,15 @@ def residual_check(
     return float(np.max(np.abs(f[free]))) if free.any() else 0.0
 
 
-def extract_probe(dataset: SweepDataset, mesh: TensorMesh, x_um: float, y_um: float):
-    """(v_gate, phi, n) series at the node nearest (x_um, y_um).
-
-    Returns (node_index, biases, phi_series, n_series) across all
-    snapshots, for probe-trace reporting.
-    """
+def extract_probe(dataset: SweepDataset, mesh: TensorMesh, node: int):
+    """(biases, phi_series, n_series) at one node across all snapshots, for
+    probe-trace reporting (``mesh.probe_node`` gives the usual node)."""
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
     if dataset.mesh_fingerprint != mesh.fingerprint():
         raise ValueError("dataset was generated on a different mesh")
-    node = nearest_node(mesh, x_um, y_um)
-    biases = dataset.biases
+    if not 0 <= node < mesh.n_nodes:
+        raise ValueError(f"node {node} outside 0..{mesh.n_nodes - 1}")
     phi = np.array([s.phi[node] for s in dataset.snapshots])
     n = np.array([s.n[node] for s in dataset.snapshots])
-    return node, biases, phi, n
+    return dataset.biases, phi, n

@@ -97,7 +97,7 @@ class PinnProblem:
                 f"surrogate was trained up to V_G={meta.bias_max} V, above the "
                 f"{MAX_TRAINING_BIAS} V firewall for out-of-range claims"
             )
-        if meta.mesh_fingerprint and meta.mesh_fingerprint != self.mesh.fingerprint():
+        if meta.mesh_fingerprint != self.mesh.fingerprint():
             raise ValueError("surrogate was fitted on a different mesh")
         self.gate_nodes = self.mesh.gate_nodes()
         if len(self.gate_nodes) == 0:
@@ -119,8 +119,10 @@ class PinnProblem:
         phi = predict_phi(sur, n_tilde)
         mask = self.mesh.silicon_mask()
         r1 = phi[self.gate_nodes] - float(v_gate)
-        # the closure is looked up through `fermi` at call time, like its derivative below
-        n_fd_tilde = normalize_density(fermi.electron_density(phi, self.params, mask))
+        # one closure call gives n and dn/dphi; it is looked up through `fermi`
+        # at call time, so fault injection and tracing reach it
+        n_fd, dn_fd = fermi.electron_density(phi, self.params, mask)
+        n_fd_tilde = normalize_density(n_fd)
         r2 = np.log10(n_fd_tilde) - np.log10(n_tilde)
         l1, l2 = np.mean(r1 * r1), np.mean(r2 * r2)
         total = l1 * self.w_boundary + l2 * self.w_fd
@@ -131,8 +133,7 @@ class PinnProblem:
         # phi feeds the gate residual and the closure
         g_phi = np.zeros_like(phi)
         np.add.at(g_phi, self.gate_nodes, g1)
-        g_phi += (g2 * (1.0 / (n_fd_tilde * _LN10)) * (1.0 / DENSITY_SCALE)
-                  * fermi.electron_density_deriv(phi, self.params, mask))
+        g_phi += g2 * (1.0 / (n_fd_tilde * _LN10)) * (1.0 / DENSITY_SCALE) * dn_fd
         # n_tilde feeds the surrogate and the log
         g = sur.right.T @ (sur.left.T @ g_phi)
         g += (-g2) * (1.0 / (n_tilde * _LN10))

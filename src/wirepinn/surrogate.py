@@ -80,15 +80,16 @@ class LinearSurrogate:
             arr.flags.writeable = False
 
 
-def fit(snapshots, mesh_fingerprint: str = "") -> LinearSurrogate:
+def fit(snapshots, mesh_fingerprint: str) -> LinearSurrogate:
     """Least-squares fit of potential profiles against normalized densities.
 
     ``snapshots`` is the training slice (typically the first 40 of a
     sweep).  The fit centers both sides, computes the minimum-norm
     solution through an SVD with relative cutoff RCOND, keeps it as
     the factors Yc^T U diag(1/s) and V^T, and absorbs the static
-    donor/boundary contribution into the intercept.  Raises ValueError on
-    empty input or mismatched field lengths.
+    donor/boundary contribution into the intercept.  ``mesh_fingerprint``
+    names the snapshots' mesh; a solver refuses the model on any other.
+    Raises ValueError on empty input or mismatched field lengths.
     """
     if len(snapshots) == 0:
         raise ValueError("cannot fit a surrogate on zero snapshots")

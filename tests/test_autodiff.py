@@ -199,9 +199,9 @@ class TestPrimitives:
         mask[10:] = False
         phi = rng.uniform(0.0, 0.6, size=15)
         h = 1e-7
-        fd = (fermi.electron_density(phi + h, params, mask)
-              - fermi.electron_density(phi - h, params, mask)) / (2 * h)
-        d = fermi.electron_density_deriv(phi, params, mask)
+        fd = (fermi.electron_density(phi + h, params, mask)[0]
+              - fermi.electron_density(phi - h, params, mask)[0]) / (2 * h)
+        d = fermi.electron_density(phi, params, mask)[1]
         assert np.all(d[10:] == 0.0)
         assert np.allclose(d, fd, rtol=1e-5, atol=0.0)
         # and through the consistency loss of the training graph
@@ -215,7 +215,7 @@ class TestPrimitives:
         n_tilde = _n_tilde(problem, seed=9)
         l1, l2, total, _ = problem.build_losses(n_tilde, 0.5)
         phi = surrogate.predict_phi(problem.surrogate, n_tilde)
-        n_fd = fermi.electron_density(phi, problem.params, problem.mesh.silicon_mask())
+        n_fd = fermi.electron_density(phi, problem.params, problem.mesh.silicon_mask())[0]
         r2 = np.log10((n_fd + surrogate.DENSITY_OFFSET) / surrogate.DENSITY_SCALE) - np.log10(n_tilde)
         assert l2 == np.mean(r2 * r2)
         assert total == l2 and l1 > 0.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wirepinn import checks, dataset_io as dio, pinn
+from wirepinn import checks, dataset_io as dio, pinn, surrogate
 from wirepinn.cli import main
 from wirepinn.mesh import build_device_mesh, load_device_config, nearest_node
 
@@ -287,6 +287,21 @@ class TestSolveInput:
         assert calls == [] and not out.exists()
 
 
+def test_model_without_mesh_fingerprint_refused(workdir, tmp_path, capsys):
+    # a model whose metadata names no mesh is not taken for one fitted here,
+    # even on a mesh of the same size it was never fitted on
+    unnamed = tmp_path / "unnamed.wpnn"
+    dio.write_model(surrogate.fit(dio.read_sweep(workdir["sweep"]).snapshots[:40], ""), unnamed)
+    cfg = tmp_path / "thin.cfg"
+    cfg.write_text(SMALL_CFG + "radius_nm = 3\n")
+    for config in (workdir["cfg"], cfg):
+        rc = main(["solve", "--config", str(config), "--surrogate", str(unnamed), "--vg", "0.3",
+                   "--epochs", "5", "--out", str(tmp_path / "never")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: surrogate was fitted on a different mesh\n"
+    assert not (tmp_path / "never").exists()
+
+
 class TestContainerInput:
     """A container of the wrong kind, or one that lacks a name, ends in exit 1
     and a message naming the file, not in a traceback."""
@@ -369,8 +384,13 @@ class TestCheck:
     def test_injected_fault_detected(self, monkeypatch, capsys):
         from wirepinn import fermi
 
-        real = fermi.fermi_half_deriv
-        monkeypatch.setattr(fermi, "fermi_half_deriv", lambda eta: 1.1 * np.asarray(real(eta)))
+        real = fermi.fermi_half
+
+        def skewed(eta):
+            f, df = real(eta)
+            return f, 1.1 * np.asarray(df)
+
+        monkeypatch.setattr(fermi, "fermi_half", skewed)
         rc = main(["check", "--fast"])
         out = capsys.readouterr()
         assert rc == 4

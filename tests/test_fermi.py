@@ -59,21 +59,35 @@ class TestDerivative:
     def test_matches_central_differences(self, eta):
         h = 1e-6
         fd = (fermi.fermi_half_approx(eta + h) - fermi.fermi_half_approx(eta - h)) / (2 * h)
-        assert fermi.fermi_half_deriv(eta) == pytest.approx(fd, rel=1e-6)
+        assert fermi.fermi_half(eta)[1] == pytest.approx(fd, rel=1e-6)
 
     def test_random_etas_match_fd(self, rng):
         etas = rng.uniform(-25.0, 45.0, size=100)
         h = 1e-6
         fd = (fermi.fermi_half_approx(etas + h) - fermi.fermi_half_approx(etas - h)) / (2 * h)
-        assert np.max(np.abs(fermi.fermi_half_deriv(etas) - fd) / np.abs(fd)) <= 1e-6
+        assert np.max(np.abs(fermi.fermi_half(etas)[1] - fd) / np.abs(fd)) <= 1e-6
 
     def test_boltzmann_ratio_tends_to_one(self):
         eta = -25.0
-        assert fermi.fermi_half_deriv(eta) / fermi.fermi_half_approx(eta) == pytest.approx(1.0, rel=1e-9)
+        assert fermi.fermi_half(eta)[1] / fermi.fermi_half_approx(eta) == pytest.approx(1.0, rel=1e-9)
 
     def test_positive_everywhere(self):
         grid = np.arange(-30.0, 50.001, 0.05)
-        assert np.all(fermi.fermi_half_deriv(grid) > 0)
+        assert np.all(fermi.fermi_half(grid)[1] > 0)
+
+    def test_value_is_the_closed_form_bit_for_bit(self):
+        grid = np.concatenate([np.arange(-800.0, 60.0, 0.37), [-300.0, -299.9, 0.0]])
+        f, df = fermi.fermi_half(grid)
+        assert np.array_equal(f, fermi.fermi_half_approx(grid))
+        assert f.shape == df.shape == grid.shape
+        for eta in (-400.0, -5.0, 0.0, 5.0):
+            f, df = fermi.fermi_half(eta)
+            assert type(f) is type(df) is float
+            assert f == fermi.fermi_half_approx(eta)
+
+    def test_one_closure_no_derivative_twin(self):
+        # the derivative comes with the value; no separate *_deriv function
+        assert not [name for name in dir(fermi) if name.endswith("_deriv")]
 
 
 class TestInverse:
@@ -107,32 +121,33 @@ class TestInverse:
 
 class TestElectronDensity:
     def test_at_reference_potential(self, params):
-        n = fermi.electron_density(params.phi_ref, params)
+        n = fermi.electron_density(params.phi_ref, params)[0]
         assert n == pytest.approx(0.7651 * params.n_c, rel=5e-3)
 
     def test_depletion_limit(self, params):
-        assert fermi.electron_density(params.phi_ref - 3.0, params) < 1e-20 * params.n_c
+        assert fermi.electron_density(params.phi_ref - 3.0, params)[0] < 1e-20 * params.n_c
 
     def test_contact_density_by_construction(self, params):
         phi_bi = params.phi_ref + params.v_t * fermi.inverse_fermi_half(1e20 / params.n_c)
-        assert fermi.electron_density(phi_bi, params) == pytest.approx(1e20, rel=1e-9)
+        assert fermi.electron_density(phi_bi, params)[0] == pytest.approx(1e20, rel=1e-9)
 
     def test_region_mask(self, params):
         phi = np.array([0.1, 0.2, 0.3])
         mask = np.array([True, False, True])
-        n = fermi.electron_density(phi, params, mask)
+        n, dn = fermi.electron_density(phi, params, mask)
         assert n[1] == 0.0 and n[0] > 0 and n[2] > 0
+        assert dn[1] == 0.0 and dn[0] > 0 and dn[2] > 0
 
     def test_strictly_increasing_in_phi(self, params, rng):
         phi = np.sort(rng.uniform(-0.5, 1.0, size=200))
-        n = fermi.electron_density(phi, params)
+        n = fermi.electron_density(phi, params)[0]
         assert np.all(np.diff(n) > 0)
 
     def test_deriv_matches_fd(self, params):
         phi = np.linspace(-0.2, 0.9, 50)
         h = 1e-7
-        fd = (fermi.electron_density(phi + h, params) - fermi.electron_density(phi - h, params)) / (2 * h)
-        an = fermi.electron_density_deriv(phi, params)
+        fd = (fermi.electron_density(phi + h, params)[0] - fermi.electron_density(phi - h, params)[0]) / (2 * h)
+        an = fermi.electron_density(phi, params)[1]
         assert np.max(np.abs(an - fd) / np.abs(fd)) <= 1e-5
 
 

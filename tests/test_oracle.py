@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from wirepinn import fermi, oracle
-from wirepinn.mesh import CONTACT_SOURCE, DeviceConfig, assemble_fv_coefficients, build_device_mesh
+from wirepinn.mesh import (CONTACT_SOURCE, DeviceConfig, assemble_fv_coefficients, build_device_mesh,
+                           nearest_node, probe_node)
 from wirepinn.oracle import (
     ConvergenceError,
     SweepDataset,
@@ -41,9 +42,25 @@ class TestSolveEquilibrium:
         snap = solve_equilibrium(default_mesh, default_coeffs, params, 0.42)
         assert np.all(snap.phi[default_mesh.gate_nodes()] == 0.42)
 
+    def test_one_closure_call_per_newton_iteration(self, small_mesh, params, monkeypatch):
+        # k iterations evaluate the closure k+1 times: n and dn/dphi together
+        # at every iterate, the last one's n kept as the snapshot's
+        real, calls = fermi.electron_density, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].copy())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fermi, "electron_density", counted)
+        coeffs = assemble_fv_coefficients(small_mesh)
+        snap = solve_equilibrium(small_mesh, coeffs, params, 0.6)
+        assert snap.newton_iterations >= 3
+        assert len(calls) == snap.newton_iterations + 1
+        assert np.array_equal(calls[-1], snap.phi)
+
     def test_density_is_shared_closure_of_phi(self, default_mesh, default_coeffs, params):
         snap = solve_equilibrium(default_mesh, default_coeffs, params, 0.6)
-        recomputed = fermi.electron_density(snap.phi, params, default_mesh.silicon_mask())
+        recomputed = fermi.electron_density(snap.phi, params, default_mesh.silicon_mask())[0]
         assert np.array_equal(snap.n, recomputed)
 
     def test_nonconvergence_raises_with_diagnostics(self, default_mesh, default_coeffs, params,
@@ -73,9 +90,12 @@ class TestRampSweep:
             ramp_sweep(default_mesh, params, 0.75, 0.0, 0.0075)
 
     def test_every_snapshot_converged_within_budget(self, oracle_sweep):
+        # measured: at most 6 per bias, 306 over the ramp; the bounds leave one
+        # iteration per bias and 5% overall (a Jacobian 10% off takes 11 and 811)
         iters = [s.newton_iterations for s in oracle_sweep.snapshots]
         assert all(s.converged for s in oracle_sweep.snapshots)
-        assert max(iters) <= 30
+        assert max(iters) <= 7
+        assert sum(iters) <= 320
 
     def test_every_snapshot_passes_residual_check(self, default_mesh, default_coeffs, params, oracle_sweep):
         tol = default_tolerance(default_mesh, default_coeffs)
@@ -117,27 +137,31 @@ class TestResidualCheck:
 class TestBuiltInPotential:
     def test_neutrality(self, default_mesh, params):
         phi_bi = built_in_potential(default_mesh, params)
-        assert fermi.electron_density(phi_bi, params) == pytest.approx(1e20, rel=1e-9)
+        assert fermi.electron_density(phi_bi, params)[0] == pytest.approx(1e20, rel=1e-9)
 
 
 class TestExtractProbe:
     def test_series_length_and_monotonicity(self, oracle_sweep, default_mesh):
-        node, biases, phi, n = extract_probe(oracle_sweep, default_mesh, 0.0405, 0.002)
+        node = probe_node(default_mesh)
+        biases, phi, n = extract_probe(oracle_sweep, default_mesh, node)
         assert default_mesh.node_xy(node) == (0.0405, 0.002)
         assert len(biases) == len(phi) == len(n) == len(oracle_sweep)
+        assert np.array_equal(n, [s.n[node] for s in oracle_sweep.snapshots])
         assert np.all(np.diff(phi) >= 0)
 
     def test_gate_probe_equals_bias_series(self, oracle_sweep, default_mesh):
         m = default_mesh
-        _, biases, phi, _ = extract_probe(oracle_sweep, m, 0.0405, float(m.y_nodes[-1]))
+        biases, phi, _ = extract_probe(oracle_sweep, m, nearest_node(m, 0.0405, float(m.y_nodes[-1])))
         assert np.array_equal(phi, biases)
 
     def test_empty_dataset_rejected(self, default_mesh, params):
         empty = SweepDataset(snapshots=[], mesh_fingerprint=default_mesh.fingerprint(), params=params)
         with pytest.raises(ValueError):
-            extract_probe(empty, default_mesh, 0.0, 0.0)
+            extract_probe(empty, default_mesh, 0)
 
-    def test_wrong_mesh_rejected(self, oracle_sweep, params):
+    def test_wrong_mesh_rejected(self, oracle_sweep, default_mesh, params):
         other = build_device_mesh(DeviceConfig(length_nm=80.0))
         with pytest.raises(ValueError, match="different mesh"):
-            extract_probe(oracle_sweep, other, 0.0, 0.0)
+            extract_probe(oracle_sweep, other, 0)
+        with pytest.raises(ValueError, match="outside"):
+            extract_probe(oracle_sweep, default_mesh, default_mesh.n_nodes)

@@ -73,7 +73,7 @@ class TestLossFd:
         mesh = problem.mesh
         phi = np.full(mesh.n_nodes, 0.2)
         n_tilde = surrogate.normalize_density(
-            fermi.electron_density(phi, params, mesh.silicon_mask()))
+            fermi.electron_density(phi, params, mesh.silicon_mask())[0])
         shifted = n_tilde.copy()
         shifted[5] *= 10.0
         expected = 1.0 / mesh.n_nodes
@@ -98,6 +98,12 @@ class TestFirewall:
     def test_rejects_foreign_mesh(self, small_surrogate, default_mesh, params):
         with pytest.raises(ValueError, match="mesh"):
             PinnProblem(mesh=default_mesh, surrogate=small_surrogate, params=params)
+
+    def test_rejects_empty_fingerprint(self, small_sweep, small_mesh, params):
+        # a model that names no mesh is not taken as fitted on this one
+        unnamed = surrogate.fit(small_sweep.snapshots[:40], "")
+        with pytest.raises(ValueError, match="different mesh"):
+            PinnProblem(mesh=small_mesh, surrogate=unnamed, params=params)
 
 
 class TestFixedPoint:
@@ -126,7 +132,7 @@ class TestSurrogateFactorization:
         l1, l2, total, _ = problem.build_losses(n_tilde, 0.4)
         phi = surrogate.predict_phi(sur, n_tilde)
         assert l1 == np.mean((phi[problem.gate_nodes] - 0.4) ** 2)
-        n_fd = fermi.electron_density(phi, problem.params, problem.mesh.silicon_mask())
+        n_fd = fermi.electron_density(phi, problem.params, problem.mesh.silicon_mask())[0]
         assert l2 == np.mean((np.log10((n_fd + 1e10) / 1e19) - np.log10(n_tilde)) ** 2)
         assert total == l1 + l2
 
@@ -201,6 +207,17 @@ class TestSolveBias:
         assert np.array_equal(a.history, b.history)
         assert np.array_equal(a.prediction.phi, b.prediction.phi)
         assert np.array_equal(a.prediction.n, b.prediction.n)
+
+    def test_one_closure_call_per_epoch(self, small_problem, monkeypatch):
+        # n and dn/dphi come from one evaluation of the closure, and of F_1/2 under it
+        calls = {"electron_density": 0, "fermi_half": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(fermi, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(fermi, name, counted)
+        solve_bias(small_problem, 0.3, SolveOptions(epochs=5, seed=1))
+        assert calls == {"electron_density": 5, "fermi_half": 5}
 
     def test_checkpoints_recorded(self, small_problem):
         result = solve_bias(small_problem, 0.3, SolveOptions(epochs=300, seed=1,

@@ -50,17 +50,21 @@ class TestFit:
         assert meta.bias_min == 0.0
         assert meta.bias_max == pytest.approx(0.2925)
 
-    def test_empty_input_rejected(self):
+    def test_empty_input_rejected(self, default_mesh):
         with pytest.raises(ValueError):
-            fit([])
+            fit([], default_mesh.fingerprint())
 
-    def test_mismatched_meshes_rejected(self, oracle_sweep, small_sweep):
+    def test_mesh_fingerprint_required(self, oracle_sweep):
+        with pytest.raises(TypeError, match="mesh_fingerprint"):
+            fit(oracle_sweep.snapshots[:10])
+
+    def test_mismatched_meshes_rejected(self, oracle_sweep, small_sweep, default_mesh):
         with pytest.raises(ValueError, match="mesh size"):
-            fit([oracle_sweep.snapshots[0], small_sweep.snapshots[0]])
+            fit([oracle_sweep.snapshots[0], small_sweep.snapshots[0]], default_mesh.fingerprint())
 
-    def test_single_snapshot_warns_low_rank(self, oracle_sweep, caplog):
+    def test_single_snapshot_warns_low_rank(self, oracle_sweep, default_mesh, caplog):
         with caplog.at_level("WARNING"):
-            sur = fit(oracle_sweep.snapshots[:1])
+            sur = fit(oracle_sweep.snapshots[:1], default_mesh.fingerprint())
         assert any("rank" in r.message for r in caplog.records)
         x = normalize_density(oracle_sweep.snapshots[0].n)
         assert np.max(np.abs(predict_phi(sur, x) - oracle_sweep.snapshots[0].phi)) <= 1e-9
