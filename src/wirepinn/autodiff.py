@@ -6,6 +6,13 @@ pair ``(g, x)`` and never forms it; `adam_step` takes it as BLAS rank-1
 updates (``ger``) of the moments, and any 1-D gradient as ``(g, [1])``.
 The step is Kingma & Ba's epsilon-hat form, exact in real arithmetic:
 p -= s·m / (sqrt(v) + eps·c), c = sqrt(1 - b2ᵗ), s = lr·c / (1 - b1ᵗ).
+The moments are stored lazily scaled, m' = m / m_scale and
+v' = v / v_scale with float64 scales that take the decays b1ᵗ and b2ᵗ, so
+no pass over the parameters decays them: ``ger`` adds the gradient with
+alpha (1 - b1) / m_scale (and (1 - b2) / v_scale), and the step becomes
+p -= s·(m_scale / sqrt(v_scale))·m' / (sqrt(v') + eps·c / sqrt(v_scale)).
+An update makes 6 passes over the parameters: two ``ger``, sqrt, add,
+divide and ``axpy``.
 
 All of the generator's BLAS, matvecs too, goes through `scipy.linalg.blas`:
 numpy and scipy bundle an OpenBLAS each, and in one epoch each waits for
@@ -136,16 +143,29 @@ ADAM_EPS = 1e-8
 PLATEAU_FACTOR = 0.5
 PLATEAU_THRESHOLD = 1e-3
 MIN_LR = 1e-5
+# A moment's scale below this is folded back into it by one multiply pass:
+# every 219 steps for m, every 23k for v
+ADAM_MIN_SCALE = 1e-10
 
 
 class AdamState:
-    """Adam moments, learning rate, scratch and each parameter's BLAS routines."""
+    """Adam moments, learning rate, scratch and each parameter's BLAS routines.
+
+    ``m`` and ``v`` hold the scaled moments; the true ones are
+    ``m[i] * m_scale`` and ``v[i] * v_scale``.  A scale stays at or above
+    ADAM_MIN_SCALE·b (b = b1 or b2), so a float32 v' holds squared
+    gradients up to 3.4e38·1e-10, |g| up to 1.8e14.  A larger gradient
+    makes v' inf, and the update of that parameter silently zero rather
+    than a non-finite loss.
+    """
 
     def __init__(self, params, lr: float):
         self.step_count = 0
         self.lr = lr
         self.m = [np.zeros_like(p.value) for p in params]
         self.v = [np.zeros_like(p.value) for p in params]
+        self.m_scale = 1.0
+        self.v_scale = 1.0
         self._blas = [blas.get_blas_funcs(("ger", "axpy"), dtype=p.value.dtype) for p in params]
         size = max((p.value.size for p in params), default=0)
         self._scratch = np.empty(size, np.result_type(np.float32, *(p.value.dtype for p in params)))
@@ -173,17 +193,28 @@ def adam_step(state: AdamState, params, grads) -> None:
         raise ValueError("params/grads/state length mismatch")
     factors = [_factors(p.value, m, v, grad, ger.dtype)
                for p, m, v, grad, (ger, _) in zip(params, state.m, state.v, grads, state._blas)]
+    if state.m_scale < ADAM_MIN_SCALE:
+        for m in state.m:
+            np.multiply(m, state.m_scale, out=m)
+        state.m_scale = 1.0
+    if state.v_scale < ADAM_MIN_SCALE:
+        for v in state.v:
+            np.multiply(v, state.v_scale, out=v)
+        state.v_scale = 1.0
     state.step_count += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
+    state.m_scale *= b1
+    state.v_scale *= b2
     c = math.sqrt(1.0 - b2**state.step_count)
-    step, eps = state.lr * c / (1.0 - b1**state.step_count), ADAM_EPS * c
+    root_v = math.sqrt(state.v_scale)
+    step = state.lr * c / (1.0 - b1**state.step_count) * state.m_scale / root_v
+    eps = ADAM_EPS * c / root_v
+    m_alpha, v_alpha = (1.0 - b1) / state.m_scale, (1.0 - b2) / state.v_scale
     for p, m, v, (g, x), (ger, axpy) in zip(params, state.m, state.v, factors, state._blas):
         p, m, v = p.value.reshape(-1), m.reshape(-1), v.reshape(-1)
         # the moments' transposes are the (x, g) Fortran matrices ger updates
-        np.multiply(m, b1, out=m)
-        ger(1.0 - b1, x, g, a=m.reshape(g.size, x.size).T, overwrite_a=True)
-        np.multiply(v, b2, out=v)
-        ger(1.0 - b2, x * x, g * g, a=v.reshape(g.size, x.size).T, overwrite_a=True)
+        ger(m_alpha, x, g, a=m.reshape(g.size, x.size).T, overwrite_a=True)
+        ger(v_alpha, x * x, g * g, a=v.reshape(g.size, x.size).T, overwrite_a=True)
         s = state._scratch[:p.size]
         np.sqrt(v, out=s)
         np.add(s, eps, out=s)

@@ -61,10 +61,12 @@ def _layer_inputs(net, v_scaled):
 
 # Worst error of adam_step against the float64 textbook update in
 # _assert_textbook_adam, in units of the parameter dtype's eps, over
-# seeds 0-29 and 10 steps: 10.8 (p, float64; 6.9 in float32), 2.0 (m)
-# and 3.3 (v).  The bound leaves a 2.3x margin.  The update is the
-# epsilon-hat form with BLAS rank-1 updates, so it rounds differently
-# from the textbook formulas but agrees with them in real arithmetic.
+# seeds 0-29 and 10 steps: 10.8 (p, float64; 5.7 in float32), 2.7 (m)
+# and 3.5 (v), and with the moments renormalized every step or so 2.9 (m)
+# and 3.5 (v).  The bound leaves a 2.3x margin.  The update is the
+# epsilon-hat form with scaled moments and BLAS rank-1 updates, so it
+# rounds differently from the textbook formulas but agrees with them in
+# real arithmetic.
 ADAM_ULPS = 25
 
 
@@ -88,10 +90,13 @@ def _assert_textbook_adam(rng, dtype, steps=10, lr=3e-3):
             r[1] = b1 * r[1] + (1.0 - b1) * grad
             r[2] = b2 * r[2] + (1.0 - b2) * grad * grad
             r[0] = r[0] - lr * (r[1] / (1.0 - b1**t)) / (np.sqrt(r[2] / (1.0 - b2**t)) + eps)
+            # the stored moments are scaled; compare the true ones
+            m, v = m * state.m_scale, v * state.v_scale
             for got, want, scale in ((tensor.value, r[0], r[0] - p0), (m, r[1], r[1]), (v, r[2], r[2])):
                 err = np.max(np.abs(got - want)) / np.max(np.abs(scale))
                 assert err <= ADAM_ULPS * np.finfo(dtype).eps, (t, got.shape, err)
     assert all(a.dtype == dtype for a in (w.value, b.value, *state.m, *state.v, state._scratch))
+    return state
 
 
 class TestPrimitives:
@@ -330,6 +335,14 @@ class TestAdam:
 
     def test_update_matches_textbook_float32(self, rng):
         _assert_textbook_adam(rng, np.float32)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_renormalized_moments_match_textbook(self, rng, monkeypatch, dtype):
+        # at 0.995 m folds its scale back in from step 2 on and v at step 7
+        monkeypatch.setattr(ad, "ADAM_MIN_SCALE", 0.995)
+        state = _assert_textbook_adam(rng, dtype)
+        assert state.m_scale == ad.ADAM_BETA1
+        assert state.v_scale == pytest.approx(ad.ADAM_BETA2**4)
 
     def test_float32_parameter_keeps_dtype(self):
         # a float32 Tensor stays float32, a float64 gradient is rounded to
