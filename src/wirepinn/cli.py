@@ -95,7 +95,8 @@ def cmd_fit_lr(args) -> int:
     stats = surrogate.scatter_stats(sur, dataset, mesh.gate_nodes())
     scatter_csv = os.path.splitext(args.out)[0] + "_scatter.csv"
     truth = np.concatenate([s.phi for s in dataset.snapshots])
-    vg = np.repeat(dataset.biases, mesh.n_nodes)
+    # Each bias is rendered once (its str, as write_csv would) and repeated.
+    vg = np.repeat(np.array([str(v) for v in dataset.biases.tolist()], dtype=object), mesh.n_nodes)
     dataset_io.write_csv(scatter_csv, ["v_gate", "phi_oracle_V", "phi_predicted_V"],
                          [vg, truth, stats["predictions"].ravel()])
     print(f"fitted on first {args.cutoff} snapshots "

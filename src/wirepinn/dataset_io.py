@@ -4,10 +4,10 @@ One versioned binary container carries the arrays that pass between this
 tool's own commands: the oracle sweep and each solve's prediction (kind
 ``"sweep"``) and the surrogate's factor matrices (kind ``"surrogate"``).
 Text formats hold what a person reads or plots: reports, loss histories
-and CSV figure data, with floats rendered so that reading them back is
-value-exact.  Every file is written atomically (temp file + rename), so
-readers never observe partial output and write/read cycles compare
-bitwise.
+and CSV figure data, each value as its ``str`` (one ``%`` per chunk of
+rows), so floats read back value-exact.  Every file is written atomically
+(temp file + rename): readers never observe partial output, and write/read
+cycles compare bitwise.
 """
 
 from __future__ import annotations
@@ -62,32 +62,31 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _rows(columns, sep: str) -> list:
-    """Data rows: the i-th values of all columns, joined by ``sep``.
-
-    Rendered column by column: arrays go through ``.tolist()`` and every
-    value through ``str``, which for a float is the same shortest
-    round-trip text as ``_fmt`` and for an integer its digits.  Other
-    columns (lists of strings) are taken as they are; the shortest column
-    sets the row count.
-    """
-    cols = [map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in columns]
-    return [sep.join(row) for row in zip(*cols)]
-
-
 # Rows rendered and written at a time: a 221,493-row scatter CSV then never
 # sits in memory whole, as text or as Python objects.
 _CHUNK_ROWS = 8192
 
 
+def _lines(columns, sep: str) -> str:
+    """The rows of ``columns``, values joined by ``sep``, one line each; the
+    shortest column sets the row count.  One ``%`` renders them all, so each
+    value's text is its ``str`` (a float's is ``_fmt``'s, an int's its digits,
+    a string itself); arrays go through ``.tolist()``, so ints stay ints."""
+    k = len(columns)
+    n = min(map(len, columns), default=0)
+    flat = [None] * (n * k)  # the values in row-major order
+    for j, c in enumerate(columns):
+        flat[j::k] = c[:n].tolist() if isinstance(c, np.ndarray) else c[:n]
+    return (sep.replace("%", "%%").join(["%s"] * k) + "\n") * n % tuple(flat)
+
+
 def _text(head, columns, sep: str):
-    """A text file as byte chunks: the ``head`` lines, then the ``_rows`` of
+    """A text file as byte chunks: the ``head`` lines, then the ``_lines`` of
     ``columns``, _CHUNK_ROWS at a time.  Every line ends in a newline."""
     yield "".join(line + "\n" for line in head).encode()
     n = min(map(len, columns), default=0)
     for lo in range(0, n, _CHUNK_ROWS):
-        rows = _rows([c[lo:lo + _CHUNK_ROWS] for c in columns], sep)
-        yield ("\n".join(rows) + "\n").encode()
+        yield _lines([c[lo:lo + _CHUNK_ROWS] for c in columns], sep).encode()
 
 
 def _node_columns(mesh: TensorMesh) -> list:

@@ -15,10 +15,11 @@ including the y = 0 symmetry axis - is natural zero flux.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack
 
 from . import fermi
 from .mesh import (
@@ -145,6 +146,26 @@ def _initial_guess(mesh: TensorMesh, bc: np.ndarray, v_gate: float, phi_bi: floa
     return phi
 
 
+# LAPACK's banded LU solve for float64, looked up once.
+(_GBSV,) = lapack.get_lapack_funcs(("gbsv",))
+
+
+def solve_banded(ab: np.ndarray, b: np.ndarray, lu: np.ndarray) -> np.ndarray:
+    """Solve J x = b for a J with l = u = (len(ab) - 1) // 2 sub- and
+    superdiagonals, stored as ab[u + i - j, j] = J[i, j].
+
+    ``lu`` is gbsv's (3u + 1, n) work array: ab is copied into its rows
+    u:, and the factorization and the solution overwrite ``lu`` and ``b``.
+    Raises LinAlgError if J is singular.
+    """
+    u = (len(ab) - 1) // 2
+    lu[u:] = ab
+    _, _, x, info = _GBSV(u, u, lu, b, overwrite_ab=True, overwrite_b=True)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return x
+
+
 def solve_equilibrium(
     mesh: TensorMesh,
     coeffs: FvCoefficients,
@@ -164,7 +185,8 @@ def solve_equilibrium(
     closure once: its n enters the residual, its dn/dphi the Jacobian's
     diagonal.  ``zero_charge`` drops doping and carriers, leaving the
     Laplace problem of the self-check.
-    Raises ConvergenceError on stagnation or a singular linear system.
+    Raises ConvergenceError on stagnation, a non-finite residual or a
+    singular linear system.
     """
     nx, ny = mesh.nx, mesh.ny
     n_nodes = mesh.n_nodes
@@ -203,8 +225,10 @@ def solve_equilibrium(
         return f
 
     # The banded Jacobian for solve_banded, ab[ny + i - j, j] = J[i, j], is
-    # assembled once: only the closure term of its diagonal changes.
+    # assembled once: only the closure term of its diagonal changes.  The
+    # LU work array is allocated once too.
     ab = np.zeros((2 * ny + 1, n_nodes))
+    lu = np.zeros((3 * ny + 1, n_nodes))
     lap_diag = np.zeros((nx, ny))
     lap_diag[:-1, :] -= gx
     lap_diag[1:, :] -= gx
@@ -234,12 +258,18 @@ def solve_equilibrium(
                 residual_norm=rnorm,
                 newton_iterations=iteration,
             )
+        if not math.isfinite(rnorm):
+            raise ConvergenceError(
+                f"non-finite residual at V_G={v_gate} (iteration {iteration})",
+                residual=rnorm,
+                iterations=iteration,
+            )
         if iteration == MAX_NEWTON_ITERATIONS:
             break
         ab[ny] = lap_diag - q_vol * dn
         ab[ny, bc_mask] = 1.0
         try:
-            dphi = solve_banded((ny, ny), ab, -f)
+            dphi = solve_banded(ab, -f, lu)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
             raise ConvergenceError(
                 f"singular linear system at V_G={v_gate} (iteration {iteration})",

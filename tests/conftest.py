@@ -38,6 +38,26 @@ def problem(default_mesh, lr_surrogate, params):
     return pinn.PinnProblem(mesh=default_mesh, surrogate=lr_surrogate, params=params)
 
 
+@pytest.fixture
+def nan_closure(monkeypatch):
+    """``poison(mesh, v_gate)``: from then on the closure returns a NaN
+    density at one free silicon node whenever the gate sits at ``v_gate``."""
+    def poison(mesh, v_gate):
+        real = fermi.electron_density
+        gate = mesh.gate_nodes()[0]
+        node = np.flatnonzero(mesh.silicon_mask() & ~mesh.dirichlet_mask())[0]
+
+        def poisoned(phi, params, si):
+            n, dn = real(phi, params, si)
+            if phi[gate] == v_gate:
+                n = n.copy()
+                n[node] = np.nan
+            return n, dn
+
+        monkeypatch.setattr(fermi, "electron_density", poisoned)
+    return poison
+
+
 # A coarse device for tests that train or solve many times.
 @pytest.fixture(scope="session")
 def small_mesh():

@@ -55,6 +55,14 @@ class TestGenerate:
         assert dio.read_model(model).meta.n_snapshots == 40
         assert (model.parent / "surrogate_scatter.csv").exists()
 
+    def test_nan_residual_exit_2_names_bias(self, workdir, tmp_path, capsys, nan_closure):
+        nan_closure(build_device_mesh(load_device_config(workdir["cfg"])), 0.0075 * 2)
+        rc = main(["generate", "--config", str(workdir["cfg"]), "--out", str(tmp_path / "x.wpnn")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "oracle failure: sweep failed at bias index 2 (V_G=0.015 V): non-finite residual" in err
+        assert not (tmp_path / "x.wpnn").exists()
+
     def test_probe_csv_written(self, workdir):
         probe = workdir["root"] / "sweep_probe.csv"
         assert probe.exists()
@@ -92,8 +100,18 @@ class TestFitLr:
         capsys.readouterr()
 
     def test_scatter_csv_written(self, workdir):
-        scatter = workdir["root"] / "surrogate_scatter.csv"
-        assert scatter.exists()
+        mesh = build_device_mesh(load_device_config(workdir["cfg"]))
+        ds = dio.read_sweep(workdir["sweep"], mesh)
+        stats = surrogate.scatter_stats(dio.read_model(workdir["surrogate"]), ds, mesh.gate_nodes())
+        lines = (workdir["root"] / "surrogate_scatter.csv").read_text().splitlines()
+        assert lines[0] == "v_gate,phi_oracle_V,phi_predicted_V"
+        rows = [line.split(",") for line in lines[1:]]
+        vg = np.repeat(ds.biases, mesh.n_nodes)
+        assert [row[0] for row in rows] == [str(v) for v in vg.tolist()]
+        got = np.array([[float(x) for x in row] for row in rows])
+        want = np.column_stack([vg, np.concatenate([s.phi for s in ds.snapshots]),
+                                stats["predictions"].ravel()])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_generate_and_fit_lr_byte_identical(self, workdir, tmp_path):
         cfg = str(workdir["cfg"])

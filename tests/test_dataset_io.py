@@ -308,15 +308,58 @@ def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("roundtrip")
 
 
+def _reference_text(head, columns, sep: str) -> bytes:
+    """The text a renderer must write: each row's values through ``str``,
+    joined by ``sep``, one row per line."""
+    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    lines = [*head, *(sep.join(map(str, row)) for row in zip(*values))]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+_STRINGS = st.text(st.sampled_from("ab,% é\t"), max_size=4)
+_ROW_COUNTS = (0, 1, 5, dio._CHUNK_ROWS, dio._CHUNK_ROWS + 1)
+
+
+@st.composite
+def _mixed_columns(draw):
+    """1-4 columns of drawn kinds and lengths: each its drawn values
+    repeated to the row count plus 0-2 extra, so the shortest sets it."""
+    rows = draw(st.sampled_from(_ROW_COUNTS))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["int64", "float64", "list", "object"]))
+        if kind == "int64":
+            seed = draw(arrays(np.int64, st.integers(1, 6)))
+        elif kind == "float64":
+            seed = np.array(draw(st.lists(st.one_of(st.sampled_from(EDGES), st.floats()),
+                                          min_size=1, max_size=6)))
+        else:
+            seed = np.array(draw(st.lists(_STRINGS, min_size=1, max_size=6)), dtype=object)
+        col = np.resize(seed, rows + draw(st.integers(0, 2)))
+        columns.append(col.tolist() if kind == "list" else col)
+    return columns
+
+
 class TestRenderer:
     def test_nonfinite_text_matches_fmt(self):
         values = np.array(EDGES)
-        assert dio._rows([values], ",") == [dio._fmt(v) for v in EDGES]
-        assert dio._rows([values[-4:]], ",") == ["inf", "-inf", "nan", "nan"]
+        assert dio._lines([values], ",").splitlines() == [dio._fmt(v) for v in EDGES]
+        assert dio._lines([values[-4:]], ",").splitlines() == ["inf", "-inf", "nan", "nan"]
 
     def test_integer_and_string_columns(self):
-        rows = dio._rows([np.array([3, -4]), ["a", "b"], np.array([0.5, -0.0])], " ")
+        rows = dio._lines([np.array([3, -4]), ["a", "b"], np.array([0.5, -0.0])], " ").splitlines()
         assert rows == ["3 a 0.5", "-4 b -0.0"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(columns=_mixed_columns(), sep=st.sampled_from([",", " ", "%", "%s", ";%d "]))
+    @example(columns=[np.resize(np.arange(-3, 3), dio._CHUNK_ROWS + 1),
+                      np.resize(np.array(EDGES), dio._CHUNK_ROWS + 2),
+                      ["5%", "%s", "a,b"] * 3000, np.array(["%%", "", "é"] * 2731, dtype=object)],
+             sep="%")
+    @example(columns=[np.zeros(0), ["x"]], sep=",")
+    def test_bytes_match_str_join(self, columns, sep):
+        head = ["# x y", "h%s"]
+        assert b"".join(dio._text(head, columns, sep)) == _reference_text(head, columns, sep)
 
 
 def _bits(x) -> bytes:

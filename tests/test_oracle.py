@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from wirepinn import fermi, oracle
 from wirepinn.mesh import (CONTACT_SOURCE, DeviceConfig, assemble_fv_coefficients, build_device_mesh,
@@ -72,6 +73,23 @@ class TestSolveEquilibrium:
         assert np.isfinite(err.value.residual)
 
 
+class TestSolveBanded:
+    def test_matches_scipy_with_reused_work_array(self):
+        rng = np.random.default_rng(0)
+        u, n = 6, 40
+        lu = np.full((3 * u + 1, n), np.nan)  # gbsv sets the fill-in rows itself
+        for _ in range(3):  # each solve after the first starts from old factors
+            ab = rng.standard_normal((2 * u + 1, n))
+            ab[u] += 10.0
+            b = rng.standard_normal(n)
+            want = scipy.linalg.solve_banded((u, u), ab, b)
+            assert oracle.solve_banded(ab, b.copy(), lu).tobytes() == want.tobytes()
+
+    def test_singular_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            oracle.solve_banded(np.zeros((13, 40)), np.ones(40), np.zeros((19, 40)))
+
+
 class TestRampSweep:
     def test_canonical_sweep_has_101_snapshots(self, oracle_sweep):
         assert len(oracle_sweep) == 101
@@ -88,6 +106,16 @@ class TestRampSweep:
             ramp_sweep(default_mesh, params, 0.0, 0.75, 0.0)
         with pytest.raises(ValueError):
             ramp_sweep(default_mesh, params, 0.75, 0.0, 0.0075)
+
+    def test_nan_residual_names_bias(self, small_mesh, params, nan_closure):
+        v = 0.0075 * 2  # the ramp's third bias, bit for bit
+        nan_closure(small_mesh, v)
+        with pytest.raises(ConvergenceError) as err:
+            ramp_sweep(small_mesh, params, 0.0, 0.03, 0.0075)
+        assert str(err.value).startswith(f"sweep failed at bias index 2 (V_G={v:.6g} V): "
+                                         f"non-finite residual at V_G={v} (iteration 0)")
+        assert err.value.iterations == 0
+        assert np.isnan(err.value.residual)
 
     def test_every_snapshot_converged_within_budget(self, oracle_sweep):
         # measured: at most 6 per bias, 306 over the ramp; the bounds leave one
