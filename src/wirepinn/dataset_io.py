@@ -82,7 +82,7 @@ def _lines(columns, sep: str) -> str:
 
 def _text(head, columns, sep: str):
     """A text file as byte chunks: the ``head`` lines, then the ``_lines`` of
-    ``columns``, _CHUNK_ROWS at a time.  Every line ends in a newline."""
+    ``columns``, one ``%`` per _CHUNK_ROWS rows.  Every line ends in a newline."""
     yield "".join(line + "\n" for line in head).encode()
     n = min(map(len, columns), default=0)
     for lo in range(0, n, _CHUNK_ROWS):
