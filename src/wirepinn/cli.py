@@ -1,6 +1,6 @@
 """Operator entry point: generate data, fit the surrogate, solve biases.
 
-Subcommands: generate, fit-lr, solve, report, check.  ``solve`` takes
+Subcommands: generate, fit-lr, solve, report.  ``solve`` takes
 one gate bias or a comma list of them and solves each in turn, writing
 the same products for every bias.  Its ``--epochs`` is one budget or a
 comma list of them: training runs to the largest, and each budget is
@@ -16,7 +16,7 @@ reproducible: the same config, seed and OpenBLAS thread count produce
 byte-identical data products (no timestamps in payloads).
 
 Exit codes: 0 ok, 1 configuration error, 2 oracle failure, 3 solver
-divergence, 4 self-test failure.
+divergence.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import sys
 
 import numpy as np
 
-from . import checks, dataset_io, fermi, pinn, surrogate
+from . import dataset_io, fermi, pinn, surrogate
 from .mesh import (
     ConfigError,
     DeviceConfig,
@@ -52,7 +52,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_ORACLE = 2
 EXIT_DIVERGED = 3
-EXIT_SELFTEST = 4
 
 
 def _device_config(args) -> DeviceConfig:
@@ -238,18 +237,6 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def cmd_check(args) -> int:
-    results = checks.run_self_checks(fast=args.fast)
-    failed = [name for name, ok, _ in results if not ok]
-    width = max(len(name) for name, _, _ in results)
-    for name, ok, detail in results:
-        print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  {detail}")
-    if failed:
-        print(f"FAILED: {', '.join(failed)}", file=sys.stderr)
-        return EXIT_SELFTEST
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wirepinn",
@@ -289,10 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="summarize sweep, surrogate, report and loss-history files")
     p.add_argument("files", nargs="+")
     p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("check", help="run the built-in self tests")
-    p.add_argument("--fast", action="store_true", help="coarser grids, fewer probes")
-    p.set_defaults(func=cmd_check)
     return parser
 
 

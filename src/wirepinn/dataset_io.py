@@ -238,6 +238,8 @@ def write_sweep(dataset: SweepDataset, mesh: TensorMesh, path) -> None:
     """
     if dataset.mesh_fingerprint != mesh.fingerprint():
         raise FormatError("dataset fingerprint does not match the supplied mesh")
+    if not dataset.snapshots:
+        raise ValueError("a sweep needs at least one snapshot")
     snaps, p = dataset.snapshots, dataset.params
     shape = (len(snaps), mesh.n_nodes)
     arrays = [
@@ -258,6 +260,8 @@ def _sweep_from(arrays, meta) -> SweepDataset:
             or any(a.shape != biases.shape for a in (converged, residual_norm, iterations))):
         shapes = ", ".join(f"{a} {arrays[a].shape}" for a in _SWEEP_ARRAYS)
         raise ValueError(f"array shapes do not fit one sweep ({shapes})")
+    if not len(biases):
+        raise ValueError("sweep holds no snapshots")
     for name, values in (("converged", converged), ("iterations", iterations)):
         if not np.all(values % 1 == 0):  # NaN and inf fail too
             raise ValueError(f"{name} holds values that are not whole numbers")
@@ -281,7 +285,7 @@ def read_sweep(path, mesh: TensorMesh | None = None) -> SweepDataset:
     if mesh is not None:
         if dataset.mesh_fingerprint != mesh.fingerprint():
             raise FormatError(f"{path}: fingerprint does not match the supplied mesh")
-        if dataset.snapshots and len(dataset.snapshots[0].phi) != mesh.n_nodes:
+        if len(dataset.snapshots[0].phi) != mesh.n_nodes:
             raise FormatError(f"{path}: {len(dataset.snapshots[0].phi)} nodes per snapshot, "
                               f"mesh has {mesh.n_nodes}")
     return dataset

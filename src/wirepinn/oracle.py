@@ -183,8 +183,9 @@ def solve_equilibrium(
     non-Dirichlet nodes.  Newton updates are clamped to
     +-DAMPING_CLAMP_VT * V_T per node.  Each iteration evaluates the
     closure once: its n enters the residual, its dn/dphi the Jacobian's
-    diagonal.  ``zero_charge`` drops doping and carriers, leaving the
-    Laplace problem of the self-check.
+    diagonal.  ``zero_charge`` drops doping and carriers and grounds the
+    contacts, leaving a Laplace problem whose exact solution at V_G = 0
+    is zero.
     Raises ConvergenceError on stagnation, a non-finite residual or a
     singular linear system.
     """
@@ -300,6 +301,9 @@ def ramp_sweep(
     0 -> 0.75 V at 7.5 mV gives 101 snapshots.  Solver failures are
     re-raised with the offending bias index attached.
     """
+    for name, value in (("v_start", v_start), ("v_end", v_end), ("step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     if v_end < v_start:

@@ -58,6 +58,20 @@ def nan_closure(monkeypatch):
     return poison
 
 
+@pytest.fixture
+def skewed_derivative(monkeypatch):
+    """A fault: ``fermi_half`` returns its dF scaled by 1.1, so every
+    hand-written gradient through the closure is off by 10% while every
+    value is right."""
+    real = fermi.fermi_half
+
+    def skewed(eta):
+        f, df = real(eta)
+        return f, 1.1 * np.asarray(df)
+
+    monkeypatch.setattr(fermi, "fermi_half", skewed)
+
+
 # A coarse device for tests that train or solve many times.
 @pytest.fixture(scope="session")
 def small_mesh():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wirepinn import checks, dataset_io as dio, pinn, surrogate
+from wirepinn import dataset_io as dio, pinn, surrogate
 from wirepinn.cli import main
 from wirepinn.mesh import build_device_mesh, load_device_config, nearest_node
 
@@ -61,6 +61,14 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert rc == 2
         assert "oracle failure: sweep failed at bias index 2 (V_G=0.015 V): non-finite residual" in err
+        assert not (tmp_path / "x.wpnn").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--v-end", "inf"), ("--step", "nan"), ("--v-start", "nan")])
+    def test_non_finite_range_exit_1(self, workdir, tmp_path, capsys, flag, value):
+        rc = main(["generate", "--config", str(workdir["cfg"]), flag, value,
+                   "--out", str(tmp_path / "x.wpnn")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {flag[2:].replace('-', '_')} must be finite, got {value}\n"
         assert not (tmp_path / "x.wpnn").exists()
 
     def test_probe_csv_written(self, workdir):
@@ -305,6 +313,13 @@ class TestSolveInput:
         assert calls == [] and not out.exists()
 
 
+def test_missing_surrogate_file(tmp_path, capsys):
+    rc = main(["solve", "--surrogate", str(tmp_path / "nope.wpnn"), "--vg", "0.1",
+               "--epochs", "5", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    capsys.readouterr()
+
+
 def test_model_without_mesh_fingerprint_refused(workdir, tmp_path, capsys):
     # a model whose metadata names no mesh is not taken for one fitted here,
     # even on a mesh of the same size it was never fitted on
@@ -346,6 +361,17 @@ class TestContainerInput:
                        "--sweep", str(oracle), "--vg", "0.3", "--epochs", "5", "--out", str(tmp_path / "o")])
             assert rc == 1
             assert capsys.readouterr().err == f"error: {message}"
+
+    def test_empty_sweep_exit_1(self, workdir, tmp_path, capsys):
+        kind, arrays, meta = dio._read_container(workdir["sweep"])
+        empty = tmp_path / "empty.wpnn"
+        dio._write_container(empty, kind, [(a, v[:0]) for a, v in arrays.items()], meta)
+        for argv in (["report", str(empty)],
+                     ["fit-lr", "--config", str(workdir["cfg"]), "--sweep", str(empty),
+                      "--out", str(tmp_path / "never.wpnn")]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error: {empty}: sweep holds no snapshots\n"
+        assert not (tmp_path / "never.wpnn").exists()
 
 
 class TestReport:
@@ -389,38 +415,3 @@ class TestReport:
             bad.write_bytes(text if isinstance(text, bytes) else text.encode())
             assert main(["report", str(bad)]) == 1
             assert capsys.readouterr().err.startswith(f"error: {bad}{where}")
-
-
-class TestCheck:
-    def test_fast_self_checks_pass(self, capsys):
-        rc = main(["check", "--fast"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "fermi-approx-vs-quadrature" in out
-        assert "FAIL" not in out
-
-    def test_injected_fault_detected(self, monkeypatch, capsys):
-        from wirepinn import fermi
-
-        real = fermi.fermi_half
-
-        def skewed(eta):
-            f, df = real(eta)
-            return f, 1.1 * np.asarray(df)
-
-        monkeypatch.setattr(fermi, "fermi_half", skewed)
-        rc = main(["check", "--fast"])
-        out = capsys.readouterr()
-        assert rc == 4
-        assert "FAIL" in out.out
-
-    def test_missing_surrogate_file(self, tmp_path, capsys):
-        rc = main(["solve", "--surrogate", str(tmp_path / "nope.wpnn"), "--vg", "0.1",
-                   "--epochs", "5", "--out", str(tmp_path / "o")])
-        assert rc == 1
-        capsys.readouterr()
-
-
-def test_run_self_checks_shapes():
-    results = checks.run_self_checks(fast=True)
-    assert all(len(r) == 3 for r in results)

@@ -87,6 +87,21 @@ class TestSweepFiles:
             with pytest.raises(dio.FormatError, match=match):
                 dio.read_sweep(bad, mesh)
 
+    def test_empty_sweep_refused(self, tiny, tmp_path):
+        # every sweep the program writes holds at least one snapshot
+        mesh, sweep = tiny
+        empty = SweepDataset(snapshots=[], mesh_fingerprint=mesh.fingerprint(), params=sweep.params)
+        with pytest.raises(ValueError, match="at least one snapshot"):
+            dio.write_sweep(empty, mesh, tmp_path / "never.wpnn")
+        assert not (tmp_path / "never.wpnn").exists()
+        path = tmp_path / "sweep.wpnn"
+        dio.write_sweep(sweep, mesh, path)
+        _edit_container(path, tmp_path / "empty.wpnn", **{name: arr[:0] for name, arr in
+                                                          dio._read_container(path)[1].items()})
+        for read in (dio.read_container, dio.read_sweep):
+            with pytest.raises(dio.FormatError, match="empty.wpnn: sweep holds no snapshots"):
+                read(tmp_path / "empty.wpnn")
+
     def test_wrong_header_rejected(self, tiny, lr_surrogate, tmp_path):
         path = tmp_path / "x.txt"
         path.write_text("# wirepinn sweep v1\n")  # the text sweep of earlier releases

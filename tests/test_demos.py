@@ -58,3 +58,26 @@ def test_readme_commands_parse():
             build_parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: wirepinn {' '.join(argv)}")
+
+
+def _readme():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def test_readme_layout_lists_every_module():
+    # the "Library layout" table names exactly the modules in src/wirepinn
+    section = _readme().split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `wirepinn\.(\w+)`", section, flags=re.M)
+    present = [name[:-3] for name in os.listdir(os.path.join(ROOT, "src", "wirepinn"))
+               if name.endswith(".py") and not name.startswith("_")]
+    assert sorted(listed) == sorted(present)
+
+
+def test_readme_exit_codes_match_cli():
+    # the README's "Exit codes:" sentence lists exactly cli's EXIT_* values
+    from wirepinn import cli
+
+    sentence = re.search(r"Exit codes:(.*?)\.(?:\s|$)", _readme(), flags=re.S).group(1)
+    listed = [int(code) for code in re.findall(r"(?:^|,)\s+(\d+)\s", sentence)]
+    assert listed == sorted(v for k, v in vars(cli).items() if k.startswith("EXIT_"))

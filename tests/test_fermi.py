@@ -37,8 +37,8 @@ class TestApprox:
         assert value == pytest.approx(fermi.fermi_half_quadrature(20.0), rel=5e-3)
 
     def test_accuracy_class_on_grid(self):
-        # coarse here; `wirepinn check` compares on a 0.05 grid
-        grid = np.arange(-30.0, 50.001, 0.5)
+        # measured worst 3.79e-3
+        grid = np.arange(-30.0, 50.0 + 0.025, 0.05)
         approx = fermi.fermi_half_approx(grid)
         quad = np.array([fermi.fermi_half_quadrature(e) for e in grid])
         assert np.max(np.abs(approx - quad) / quad) <= 5e-3
@@ -54,6 +54,14 @@ class TestApprox:
         assert all(vec[i] == fermi.fermi_half_approx(grid[i]) for i in range(3))
 
 
+def _derivative_fd_error(etas):
+    """Worst relative error of ``fermi_half``'s dF against central
+    differences of the closed form with h = 1e-6."""
+    h = 1e-6
+    fd = (fermi.fermi_half_approx(etas + h) - fermi.fermi_half_approx(etas - h)) / (2 * h)
+    return np.max(np.abs(fermi.fermi_half(etas)[1] - fd) / np.abs(fd))
+
+
 class TestDerivative:
     @pytest.mark.parametrize("eta", [-5.0, 0.0, 5.0])
     def test_matches_central_differences(self, eta):
@@ -62,10 +70,12 @@ class TestDerivative:
         assert fermi.fermi_half(eta)[1] == pytest.approx(fd, rel=1e-6)
 
     def test_random_etas_match_fd(self, rng):
-        etas = rng.uniform(-25.0, 45.0, size=100)
-        h = 1e-6
-        fd = (fermi.fermi_half_approx(etas + h) - fermi.fermi_half_approx(etas - h)) / (2 * h)
-        assert np.max(np.abs(fermi.fermi_half(etas)[1] - fd) / np.abs(fd)) <= 1e-6
+        # measured worst 6.0e-9 on the even grid
+        for etas in (rng.uniform(-25.0, 45.0, size=100), np.linspace(-25.0, 45.0, 200)):
+            assert _derivative_fd_error(etas) <= 1e-6
+
+    def test_fd_comparison_fails_under_skewed_derivative(self, skewed_derivative, rng):
+        assert _derivative_fd_error(rng.uniform(-25.0, 45.0, size=100)) > 1e-6
 
     def test_boltzmann_ratio_tends_to_one(self):
         eta = -25.0
@@ -87,7 +97,7 @@ class TestDerivative:
 
     def test_pow_free_forms_match_pow_forms(self):
         # the closure with eta**4, eta**3 and nu**-1.375 written out, on
-        # the 0.05 grid `wirepinn check` uses; measured worst 2.0 eps (F)
+        # test_accuracy_class_on_grid's 0.05 grid; measured worst 2.0 eps (F)
         # and 3.5 eps (dF) here, 2.2 and 4.9 on 400k uniform points, so
         # the bounds leave a 2x and 2.3x margin
         eta = np.arange(-30.0, 50.0 + 0.025, 0.05)
@@ -119,7 +129,8 @@ class TestInverse:
         assert fermi.inverse_fermi_half(u) == pytest.approx(math.log(u), rel=1e-6)
 
     def test_residual_tolerance(self):
-        for u in (1e-8, 0.5, 3.4965, 40.0):
+        # measured worst 2.0e-14 on the eta grid
+        for u in (1e-8, 0.5, 3.4965, 40.0, *fermi.fermi_half_approx(np.linspace(-20.0, 20.0, 9))):
             eta = fermi.inverse_fermi_half(u)
             assert abs(fermi.fermi_half_approx(eta) - u) <= 1e-12 * u
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -32,7 +34,11 @@ class TestSolveEquilibrium:
 
     @pytest.mark.parametrize("v_gate", [0.0, 0.3, 0.75])
     def test_mirror_symmetry(self, default_mesh, default_coeffs, params, v_gate):
+        # cold starts; the ramp's warm starts are checked in TestRampSweep
         snap = solve_equilibrium(default_mesh, default_coeffs, params, v_gate)
+        assert snap.converged
+        assert (residual_check(default_mesh, default_coeffs, params, snap)
+                <= default_tolerance(default_mesh, default_coeffs))
         phi = snap.phi.reshape(default_mesh.nx, default_mesh.ny)
         n = snap.n.reshape(default_mesh.nx, default_mesh.ny)
         assert np.max(np.abs(phi - phi[::-1, :])) <= 1e-10
@@ -106,6 +112,10 @@ class TestRampSweep:
             ramp_sweep(default_mesh, params, 0.0, 0.75, 0.0)
         with pytest.raises(ValueError):
             ramp_sweep(default_mesh, params, 0.75, 0.0, 0.0075)
+        for args, name in (((0.0, math.inf, 0.0075), "v_end"), ((0.0, 0.75, math.nan), "step"),
+                           ((math.nan, 0.75, 0.0075), "v_start")):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                ramp_sweep(default_mesh, params, *args)
 
     def test_nan_residual_names_bias(self, small_mesh, params, nan_closure):
         v = 0.0075 * 2  # the ramp's third bias, bit for bit

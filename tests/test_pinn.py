@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -137,37 +139,78 @@ class TestSurrogateFactorization:
         assert total == l1 + l2
 
 
+def _assert_gradient_matches_fd(problem, net, dense_grads, entries, h, f_slack):
+    """Raise AssertionError unless the hand-written gradient of the total
+    loss at 0.5 V matches a central difference with step ``h`` at every
+    ``(parameter index, entry)`` of ``entries``, to 1e-4 relative plus
+    ``f_slack * |f0|`` absolute (rounding costs the difference about
+    eps * |f0| / h).  ``net`` holds float64 values."""
+    def losses():
+        return problem.build_losses(postprocess(net.forward(0.5 / pinn.V_GATE_SCALE)), 0.5)
+
+    _, _, f0, g = losses()
+    net.backward(g)
+    grads = dense_grads(net)
+    atol = f_slack * abs(f0)
+    for li, idx in entries:
+        values = net.params[li].value
+        keep = values[idx]
+        values[idx] = keep + h
+        f_plus = losses()[2]
+        values[idx] = keep - h
+        f_minus = losses()[2]
+        values[idx] = keep
+        fd = (f_plus - f_minus) / (2 * h)
+        an = grads[li][idx]
+        assert abs(an - fd) <= 1e-4 * max(abs(an), abs(fd)) + atol, (values.shape, idx, an, fd)
+
+
+def _small_net(problem, float64_net):
+    return float64_net(ad.GeneratorNet(n_out=problem.mesh.n_nodes, hidden=(8, 16), seed=11))
+
+
+def _per_layer_entries(net, per_layer=4):
+    """``per_layer`` random entries of every layer's W and b."""
+    rng = np.random.default_rng(5)
+    return [(li, np.unravel_index(int(rng.integers(p.value.size)), p.value.shape))
+            for li, p in enumerate(net.params) for _ in range(per_layer)]
+
+
 class TestTrainingGradient:
     @pytest.mark.parametrize("w_boundary, w_fd", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)],
                              ids=["boundary", "fd", "both"])
     def test_matches_central_differences(self, small_problem, w_boundary, w_fd, float64_net,
                                          dense_grads):
         # with both terms, phi and n_tilde each sum two gradient paths
-        problem = PinnProblem(mesh=small_problem.mesh, surrogate=small_problem.surrogate,
-                              params=small_problem.params, w_boundary=w_boundary, w_fd=w_fd)
-        net = float64_net(ad.GeneratorNet(n_out=problem.mesh.n_nodes, hidden=(8, 16), seed=11))
+        problem = dataclasses.replace(small_problem, w_boundary=w_boundary, w_fd=w_fd)
+        net = _small_net(problem, float64_net)
+        _assert_gradient_matches_fd(problem, net, dense_grads, _per_layer_entries(net), h=1e-6, f_slack=1e-8)
 
-        def losses():
-            return problem.build_losses(postprocess(net.forward(0.5 / pinn.V_GATE_SCALE)), 0.5)
-
-        _, _, f0, g = losses()
-        net.backward(g)
-        grads = dense_grads(net)
+    def test_composed_loss_purely_relative(self, small_problem, float64_net, dense_grads):
+        # both losses, 50 entries drawn across all layers, and no absolute
+        # slack (f0 = 858 here, so 1e-8 * |f0| would allow 8.6e-6).  With
+        # the smallest sampled gradient at 1.6e-3, rounding costs about
+        # 1.1e-5 relative at h = 1e-5 and 1.1e-4 at 1e-6.  Measured worst
+        # 5.2e-6.
+        net = _small_net(small_problem, float64_net)
         rng = np.random.default_rng(5)
-        h = 1e-6
-        # central differences lose about eps * |f| / h to rounding
-        atol = 1e-8 * abs(f0)
-        for p, g in zip(net.params, grads):  # every layer's W and b
-            for _ in range(4):
-                idx = np.unravel_index(int(rng.integers(p.value.size)), p.value.shape)
-                keep = p.value[idx]
-                p.value[idx] = keep + h
-                f_plus = losses()[2]
-                p.value[idx] = keep - h
-                f_minus = losses()[2]
-                p.value[idx] = keep
-                fd = (f_plus - f_minus) / (2 * h)
-                assert abs(g[idx] - fd) <= 1e-4 * max(abs(g[idx]), abs(fd)) + atol, (p.value.shape, idx)
+        entries = []
+        for _ in range(50):
+            li = int(rng.integers(len(net.params)))
+            values = net.params[li].value
+            entries.append((li, np.unravel_index(int(rng.integers(values.size)), values.shape)))
+        _assert_gradient_matches_fd(small_problem, net, dense_grads, entries, h=1e-5, f_slack=0.0)
+
+    def test_fails_under_skewed_derivative(self, small_problem, float64_net, dense_grads,
+                                           skewed_derivative):
+        # the fd term alone: under the fault 18 of its 24 entries fail, the
+        # worst at 5.4e-2 relative; with the boundary term added only one
+        # fails, at 1.27e-4, too near the 1e-4 bound to rely on
+        problem = dataclasses.replace(small_problem, w_boundary=0.0, w_fd=1.0)
+        net = _small_net(problem, float64_net)
+        with pytest.raises(AssertionError):
+            _assert_gradient_matches_fd(problem, net, dense_grads, _per_layer_entries(net),
+                                        h=1e-6, f_slack=1e-8)
 
     def test_float32_backward_matches_float64(self, problem, float64_net, dense_grads):
         # the generator's float32 gradients against the same passes in
