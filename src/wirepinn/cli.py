@@ -39,6 +39,7 @@ from .mesh import (
 )
 from .oracle import (
     ConvergenceError,
+    Snapshot,
     SweepDataset,
     default_tolerance,
     extract_probe,
@@ -92,12 +93,11 @@ def cmd_fit_lr(args) -> int:
     dataset_io.write_model(sur, args.out)
 
     stats = surrogate.scatter_stats(sur, dataset, mesh.gate_nodes())
-    scatter_csv = os.path.splitext(args.out)[0] + "_scatter.csv"
-    truth = np.concatenate([s.phi for s in dataset.snapshots])
-    # Each bias is rendered once (its str, as write_csv would) and repeated.
-    vg = np.repeat(np.array([str(v) for v in dataset.biases.tolist()], dtype=object), mesh.n_nodes)
-    dataset_io.write_csv(scatter_csv, ["v_gate", "phi_oracle_V", "phi_predicted_V"],
-                         [vg, truth, stats["predictions"].ravel()])
+    # The predicted phi beside the oracle n, as a sweep; the oracle phi is the sweep's own.
+    scatter = SweepDataset(snapshots=[Snapshot(v_gate=s.v_gate, phi=phi, n=s.n)
+                                      for s, phi in zip(dataset.snapshots, stats["predictions"])],
+                           mesh_fingerprint=dataset.mesh_fingerprint, params=dataset.params)
+    dataset_io.write_sweep(scatter, mesh, os.path.splitext(args.out)[0] + "_scatter.wpnn")
     print(f"fitted on first {args.cutoff} snapshots "
           f"(V_G {sur.meta.bias_min:g}..{sur.meta.bias_max:g} V) -> {args.out}")
     print(f"R2 over all snapshots: {stats['r2']:.8f}; max |dphi| {stats['max_abs_err']*1e3:.4f} mV; "

@@ -1,13 +1,13 @@
 """Deterministic persistence for sweeps, models, reports and run tables.
 
-One versioned binary container carries the arrays that pass between this
-tool's own commands: the oracle sweep and each solve's prediction (kind
-``"sweep"``) and the surrogate's factor matrices (kind ``"surrogate"``).
-Text formats hold what a person reads or plots: reports, loss histories
-and CSV figure data, each value as its ``str`` (one ``%`` per chunk of
-rows), so floats read back value-exact.  Every file is written atomically
-(temp file + rename): readers never observe partial output, and write/read
-cycles compare bitwise.
+One versioned binary container carries the field arrays: the oracle
+sweep, each solve's prediction and fit-lr's predicted-vs-oracle scatter
+(kind ``"sweep"``), and the surrogate's factor matrices (kind
+``"surrogate"``).  Text formats hold what a person reads or plots:
+reports, loss histories and CSV figure data, each value as its ``str``
+(one ``%`` per chunk of rows), so floats read back value-exact.  Every
+file is written atomically (temp file + rename): readers never observe
+partial output, and write/read cycles compare bitwise.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-# Rows rendered and written at a time: a 221,493-row scatter CSV then never
-# sits in memory whole, as text or as Python objects.
+# Rows rendered and written at a time: a headline solve's 200,000-row loss
+# history then never sits in memory whole, as text or as Python objects.
 _CHUNK_ROWS = 8192
 
 

@@ -169,9 +169,6 @@ class TensorMesh:
     def node_index(self, ix: int, iy: int) -> int:
         return ix * self.ny + iy
 
-    def node_xy(self, i: int) -> tuple[float, float]:
-        return float(self.x_nodes[i // self.ny]), float(self.y_nodes[i % self.ny])
-
     def silicon_mask(self) -> np.ndarray:
         return self.region == SILICON
 

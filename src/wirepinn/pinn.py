@@ -89,6 +89,7 @@ class PinnProblem:
     w_fd: float = 1.0
 
     gate_nodes: np.ndarray = field(init=False)
+    silicon_mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
         meta = self.surrogate.meta
@@ -102,6 +103,7 @@ class PinnProblem:
         self.gate_nodes = self.mesh.gate_nodes()
         if len(self.gate_nodes) == 0:
             raise ValueError("mesh has no gate contact nodes")
+        self.silicon_mask = self.mesh.silicon_mask()
 
     def build_losses(self, n_tilde: np.ndarray, v_gate: float):
         """The two losses of a normalized density and their gradient: (l1, l2, total, g).
@@ -117,11 +119,10 @@ class PinnProblem:
         """
         sur = self.surrogate
         phi = predict_phi(sur, n_tilde)
-        mask = self.mesh.silicon_mask()
         r1 = phi[self.gate_nodes] - float(v_gate)
         # one closure call gives n and dn/dphi; it is looked up through `fermi`
         # at call time, so fault injection and tracing reach it
-        n_fd, dn_fd = fermi.electron_density(phi, self.params, mask)
+        n_fd, dn_fd = fermi.electron_density(phi, self.params, self.silicon_mask)
         n_fd_tilde = normalize_density(n_fd)
         r2 = np.log10(n_fd_tilde) - np.log10(n_tilde)
         l1, l2 = np.mean(r1 * r1), np.mean(r2 * r2)

@@ -53,7 +53,7 @@ class TestGenerate:
         assert len(dio.read_sweep(sweep)) == 41
         assert (sweep.parent / "sweep_probe.csv").exists()
         assert dio.read_model(model).meta.n_snapshots == 40
-        assert (model.parent / "surrogate_scatter.csv").exists()
+        assert (model.parent / "surrogate_scatter.wpnn").exists()
 
     def test_nan_residual_exit_2_names_bias(self, workdir, tmp_path, capsys, nan_closure):
         nan_closure(build_device_mesh(load_device_config(workdir["cfg"])), 0.0075 * 2)
@@ -107,19 +107,18 @@ class TestFitLr:
         assert rc == 1
         capsys.readouterr()
 
-    def test_scatter_csv_written(self, workdir):
+    def test_scatter_container_written(self, workdir):
         mesh = build_device_mesh(load_device_config(workdir["cfg"]))
         ds = dio.read_sweep(workdir["sweep"], mesh)
         stats = surrogate.scatter_stats(dio.read_model(workdir["surrogate"]), ds, mesh.gate_nodes())
-        lines = (workdir["root"] / "surrogate_scatter.csv").read_text().splitlines()
-        assert lines[0] == "v_gate,phi_oracle_V,phi_predicted_V"
-        rows = [line.split(",") for line in lines[1:]]
-        vg = np.repeat(ds.biases, mesh.n_nodes)
-        assert [row[0] for row in rows] == [str(v) for v in vg.tolist()]
-        got = np.array([[float(x) for x in row] for row in rows])
-        want = np.column_stack([vg, np.concatenate([s.phi for s in ds.snapshots]),
-                                stats["predictions"].ravel()])
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        kind, arrays, meta = dio._read_container(workdir["root"] / "surrogate_scatter.wpnn")
+        assert kind == "sweep" and meta["mesh_fingerprint"] == ds.mesh_fingerprint
+        assert arrays["biases"].tobytes() == ds.biases.tobytes()
+        assert arrays["phi"].shape == stats["predictions"].shape
+        assert arrays["phi"].tobytes() == stats["predictions"].tobytes()
+        assert arrays["n"].tobytes() == np.stack([s.n for s in ds.snapshots]).tobytes()
+        # no Newton record, as in a solve's prediction
+        assert np.isnan(arrays["residual_norm"]).all() and not arrays["iterations"].any()
 
     def test_generate_and_fit_lr_byte_identical(self, workdir, tmp_path):
         cfg = str(workdir["cfg"])
@@ -128,7 +127,7 @@ class TestFitLr:
         for run in ("a", "b"):
             assert main(["fit-lr", "--config", cfg, "--sweep", str(tmp_path / "a" / "sweep.wpnn"),
                          "--cutoff", "40", "--out", str(tmp_path / run / "surrogate.wpnn")]) == 0
-        for name in ("sweep.wpnn", "sweep_probe.csv", "surrogate.wpnn", "surrogate_scatter.csv"):
+        for name in ("sweep.wpnn", "sweep_probe.csv", "surrogate.wpnn", "surrogate_scatter.wpnn"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
@@ -385,11 +384,12 @@ class TestReport:
         empty.write_text(f"{dio.LOSS_HISTORY_HEADER}\n")
         rc = main(["report", str(workdir["sweep"]), str(run / "vg0.3_report.txt"),
                    str(run / "vg0.3_loss_history.csv"), str(empty), str(workdir["surrogate"]),
-                   str(run / "vg0.3_prediction.wpnn")])
+                   str(run / "vg0.3_prediction.wpnn"), str(workdir["root"] / "surrogate_scatter.wpnn")])
         assert rc == 0
         out = capsys.readouterr().out
         assert f"{workdir['sweep']}: 101 snapshots x 136 nodes, V_G 0..0.75 V, constants n_c=" in out
         assert "vg0.3_prediction.wpnn: 1 snapshots x 136 nodes, V_G 0.3..0.3 V" in out
+        assert "surrogate_scatter.wpnn: 101 snapshots x 136 nodes, V_G 0..0.75 V, constants n_c=" in out
         fingerprint = dio.read_model(workdir["surrogate"]).meta.mesh_fingerprint
         assert (f"{workdir['surrogate']}: surrogate of rank 17, fitted on 40 snapshots "
                 f"(V_G 0..0.2925 V), mesh {fingerprint}\n") in out

@@ -96,7 +96,8 @@ class TestBuild:
 class TestNearestNode:
     def test_probe_node(self, default_mesh, small_mesh):
         node = nearest_node(default_mesh, 0.0405, 0.002)
-        assert default_mesh.node_xy(node) == (0.0405, 0.002)
+        ny = default_mesh.ny
+        assert (default_mesh.x_nodes[node // ny], default_mesh.y_nodes[node % ny]) == (0.0405, 0.002)
         # the probe the traces read is that node on both test devices
         assert probe_node(default_mesh) == node == 1094
         assert probe_node(small_mesh) == nearest_node(small_mesh, 0.0405, 0.002) == 66
@@ -105,7 +106,7 @@ class TestNearestNode:
         m = build_device_mesh(DeviceConfig(length_nm=60.0, radius_nm=5.0))
         node = probe_node(m)
         assert node == nearest_node(m, 0.030, 0.0025)
-        assert m.node_xy(node) == pytest.approx((0.030, 0.0025))
+        assert (m.x_nodes[node // m.ny], m.y_nodes[node % m.ny]) == pytest.approx((0.030, 0.0025))
 
     def test_origin(self, default_mesh):
         assert nearest_node(default_mesh, 0.0, 0.0) == 0

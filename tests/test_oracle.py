@@ -182,7 +182,8 @@ class TestExtractProbe:
     def test_series_length_and_monotonicity(self, oracle_sweep, default_mesh):
         node = probe_node(default_mesh)
         biases, phi, n = extract_probe(oracle_sweep, default_mesh, node)
-        assert default_mesh.node_xy(node) == (0.0405, 0.002)
+        ny = default_mesh.ny
+        assert (default_mesh.x_nodes[node // ny], default_mesh.y_nodes[node % ny]) == (0.0405, 0.002)
         assert len(biases) == len(phi) == len(n) == len(oracle_sweep)
         assert np.array_equal(n, [s.n[node] for s in oracle_sweep.snapshots])
         assert np.all(np.diff(phi) >= 0)

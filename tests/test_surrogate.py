@@ -70,6 +70,30 @@ class TestFit:
         assert np.max(np.abs(predict_phi(sur, x) - oracle_sweep.snapshots[0].phi)) <= 1e-9
 
 
+    def test_fit_on_scipy_blas_matches_numpy(self, small_sweep, small_mesh, monkeypatch):
+        # the fit stays off numpy's OpenBLAS (see `fit`); its factors are the
+        # numpy expressions' to 1e-12 relative, each singular vector up to sign
+        snaps = small_sweep.snapshots[:40]
+        x = np.stack([normalize_density(s.n) for s in snaps])
+        y = np.stack([s.phi for s in snaps])
+        u, sv, vt = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)
+        keep = sv > surrogate.RCOND * sv[0]
+        left = (y - y.mean(axis=0)).T @ u[:, keep] / sv[keep]
+        right = vt[keep]
+        intercept = y.mean(axis=0) - left @ (right @ x.mean(axis=0))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        sur = fit(snaps, small_mesh.fingerprint())
+        sign = np.sign(np.sum(sur.right * right, axis=1))
+        for got, want in ((sur.left * sign, left), (sur.right * sign[:, None], right),
+                          (sur.intercept, intercept)):
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 class TestPredict:
     def test_affine_superposition_identity(self, oracle_sweep, lr_surrogate, rng):
         x1 = normalize_density(oracle_sweep.snapshots[10].n)
