@@ -154,16 +154,128 @@ def solve_banded(ab: np.ndarray, b: np.ndarray, lu: np.ndarray) -> np.ndarray:
     """Solve J x = b for a J with l = u = (len(ab) - 1) // 2 sub- and
     superdiagonals, stored as ab[u + i - j, j] = J[i, j].
 
-    ``lu`` is gbsv's (3u + 1, n) work array: ab is copied into its rows
-    u:, and the factorization and the solution overwrite ``lu`` and ``b``.
-    Raises LinAlgError if J is singular.
+    ``lu`` is gbsv's (3u + 1, n) work array, F-contiguous so that gbsv
+    works in it rather than in a silent copy: ab is copied into its rows
+    u:, and the factorization overwrites ``lu``.  The solution overwrites
+    ``b`` where f2py can pass it without a copy.  Raises ValueError for a
+    ``lu`` that is not F-contiguous and LinAlgError if J is singular.
     """
+    if not lu.flags.f_contiguous:
+        raise ValueError("solve_banded factorizes in an F-contiguous lu work array")
     u = (len(ab) - 1) // 2
     lu[u:] = ab
     _, _, x, info = _GBSV(u, u, lu, b, overwrite_ab=True, overwrite_b=True)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     return x
+
+
+def _newton(mesh: TensorMesh, coeffs: FvCoefficients, params: fermi.SemiconductorParams,
+            zero_charge: bool):
+    """The set-up of solve_equilibrium that does not depend on the bias: the
+    Dirichlet and silicon masks, the built-in potential, the tolerance, the
+    banded Jacobian's fixed off-diagonals and the LU work array.  Returns
+    ``solve(v_gate, phi0) -> Snapshot``, one bias on that set-up; a ramp
+    builds it once for all of its biases."""
+    nx, ny = mesh.nx, mesh.ny
+    n_nodes = mesh.n_nodes
+    tol = default_tolerance(mesh, coeffs)
+    clamp = DAMPING_CLAMP_VT * params.v_t
+
+    bc_mask = mesh.dirichlet_mask()
+    free = ~bc_mask
+    phi_bi = 0.0 if zero_charge else built_in_potential(mesh, params)
+    # no silicon means no carriers: the closure returns zeros for n and dn
+    si = np.zeros(n_nodes, dtype=bool) if zero_charge else mesh.silicon_mask()
+    doping = np.zeros(n_nodes) if zero_charge else mesh.net_doping
+    q_vol = Q_COULOMB * coeffs.volume
+    gx, gy = coeffs.gx, coeffs.gy
+
+    def residual(p, n, bc):
+        p2 = p.reshape(nx, ny)
+        f = np.zeros((nx, ny))
+        flux_x = gx * (p2[1:, :] - p2[:-1, :])
+        f[:-1, :] += flux_x
+        f[1:, :] -= flux_x
+        flux_y = gy * (p2[:, 1:] - p2[:, :-1])
+        f[:, :-1] += flux_y
+        f[:, 1:] -= flux_y
+        f = f.reshape(-1)
+        f += q_vol * (doping - n)
+        f[bc_mask] = p[bc_mask] - bc[bc_mask]
+        return f
+
+    # The banded Jacobian for solve_banded, ab[ny + i - j, j] = J[i, j]:
+    # only the closure term of its diagonal changes between iterations.
+    # F-ordered like lu, so solve_banded's copy runs along memory.
+    ab = np.zeros((2 * ny + 1, n_nodes), order="F")
+    lu = np.zeros((3 * ny + 1, n_nodes), order="F")
+    lap_diag = np.zeros((nx, ny))
+    lap_diag[:-1, :] -= gx
+    lap_diag[1:, :] -= gx
+    lap_diag[:, :-1] -= gy
+    lap_diag[:, 1:] -= gy
+    lap_diag = lap_diag.reshape(-1)
+    # y edges couple i and i+1 only within a column (i % ny != ny - 1);
+    # Dirichlet rows keep only their unit diagonal
+    gy_vals = np.zeros(n_nodes - 1)
+    gy_vals[(np.arange(n_nodes - 1) % ny) != ny - 1] = gy.reshape(-1)
+    ab[ny - 1, 1:] = np.where(bc_mask[:-1], 0.0, gy_vals)            # J[i, i+1]
+    ab[ny + 1, :-1] = np.where(bc_mask[1:], 0.0, gy_vals)            # J[i+1, i]
+    ab[0, ny:] = np.where(bc_mask[:-ny], 0.0, gx.reshape(-1))        # J[i, i+ny]
+    ab[2 * ny, :-ny] = np.where(bc_mask[ny:], 0.0, gx.reshape(-1))   # J[i+ny, i]
+
+    def solve(v_gate: float, phi0: np.ndarray | None) -> Snapshot:
+        bc = _dirichlet_values(mesh, v_gate, phi_bi)
+        if phi0 is None:
+            phi = _initial_guess(mesh, bc, v_gate, phi_bi)
+        else:
+            phi = phi0.copy()
+            phi[bc_mask] = bc[bc_mask]
+
+        rnorm = float("inf")
+        for iteration in range(MAX_NEWTON_ITERATIONS + 1):
+            n, dn = fermi.electron_density(phi, params, si)
+            f = residual(phi, n, bc)
+            rnorm = float(np.max(np.abs(f[free]))) if free.any() else 0.0
+            if rnorm <= tol:
+                return Snapshot(
+                    v_gate=float(v_gate),
+                    phi=phi,
+                    n=n,
+                    converged=True,
+                    residual_norm=rnorm,
+                    newton_iterations=iteration,
+                )
+            if not math.isfinite(rnorm):
+                raise ConvergenceError(
+                    f"non-finite residual at V_G={v_gate} (iteration {iteration})",
+                    residual=rnorm,
+                    iterations=iteration,
+                )
+            if iteration == MAX_NEWTON_ITERATIONS:
+                break
+            ab[ny] = lap_diag - q_vol * dn
+            ab[ny, bc_mask] = 1.0
+            try:
+                dphi = solve_banded(ab, -f, lu)
+            except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+                raise ConvergenceError(
+                    f"singular linear system at V_G={v_gate} (iteration {iteration})",
+                    residual=rnorm,
+                    iterations=iteration,
+                ) from exc
+            np.clip(dphi, -clamp, clamp, out=dphi)
+            phi = phi + dphi
+
+        raise ConvergenceError(
+            f"Newton did not converge at V_G={v_gate}: residual {rnorm:.3e} > {tol:.3e} "
+            f"after {MAX_NEWTON_ITERATIONS} iterations",
+            residual=rnorm,
+            iterations=MAX_NEWTON_ITERATIONS,
+        )
+
+    return solve
 
 
 def solve_equilibrium(
@@ -189,103 +301,7 @@ def solve_equilibrium(
     Raises ConvergenceError on stagnation, a non-finite residual or a
     singular linear system.
     """
-    nx, ny = mesh.nx, mesh.ny
-    n_nodes = mesh.n_nodes
-    tol = default_tolerance(mesh, coeffs)
-    clamp = DAMPING_CLAMP_VT * params.v_t
-
-    bc_mask = mesh.dirichlet_mask()
-    phi_bi = 0.0 if zero_charge else built_in_potential(mesh, params)
-    bc = _dirichlet_values(mesh, v_gate, phi_bi)
-    # no silicon means no carriers: the closure returns zeros for n and dn
-    si = np.zeros(n_nodes, dtype=bool) if zero_charge else mesh.silicon_mask()
-    doping = np.zeros(n_nodes) if zero_charge else mesh.net_doping
-    q_vol = Q_COULOMB * coeffs.volume
-
-    if phi0 is None:
-        phi = _initial_guess(mesh, bc, v_gate, phi_bi)
-    else:
-        phi = phi0.copy()
-        phi[bc_mask] = bc[bc_mask]
-
-    gx, gy = coeffs.gx, coeffs.gy
-    free = ~bc_mask
-
-    def residual(p, n):
-        p2 = p.reshape(nx, ny)
-        f = np.zeros((nx, ny))
-        flux_x = gx * (p2[1:, :] - p2[:-1, :])
-        f[:-1, :] += flux_x
-        f[1:, :] -= flux_x
-        flux_y = gy * (p2[:, 1:] - p2[:, :-1])
-        f[:, :-1] += flux_y
-        f[:, 1:] -= flux_y
-        f = f.reshape(-1)
-        f += q_vol * (doping - n)
-        f[bc_mask] = p[bc_mask] - bc[bc_mask]
-        return f
-
-    # The banded Jacobian for solve_banded, ab[ny + i - j, j] = J[i, j], is
-    # assembled once: only the closure term of its diagonal changes.  The
-    # LU work array is allocated once too.
-    ab = np.zeros((2 * ny + 1, n_nodes))
-    lu = np.zeros((3 * ny + 1, n_nodes))
-    lap_diag = np.zeros((nx, ny))
-    lap_diag[:-1, :] -= gx
-    lap_diag[1:, :] -= gx
-    lap_diag[:, :-1] -= gy
-    lap_diag[:, 1:] -= gy
-    lap_diag = lap_diag.reshape(-1)
-    # y edges couple i and i+1 only within a column (i % ny != ny - 1);
-    # Dirichlet rows keep only their unit diagonal
-    gy_vals = np.zeros(n_nodes - 1)
-    gy_vals[(np.arange(n_nodes - 1) % ny) != ny - 1] = gy.reshape(-1)
-    ab[ny - 1, 1:] = np.where(bc_mask[:-1], 0.0, gy_vals)            # J[i, i+1]
-    ab[ny + 1, :-1] = np.where(bc_mask[1:], 0.0, gy_vals)            # J[i+1, i]
-    ab[0, ny:] = np.where(bc_mask[:-ny], 0.0, gx.reshape(-1))        # J[i, i+ny]
-    ab[2 * ny, :-ny] = np.where(bc_mask[ny:], 0.0, gx.reshape(-1))   # J[i+ny, i]
-
-    rnorm = float("inf")
-    for iteration in range(MAX_NEWTON_ITERATIONS + 1):
-        n, dn = fermi.electron_density(phi, params, si)
-        f = residual(phi, n)
-        rnorm = float(np.max(np.abs(f[free]))) if free.any() else 0.0
-        if rnorm <= tol:
-            return Snapshot(
-                v_gate=float(v_gate),
-                phi=phi,
-                n=n,
-                converged=True,
-                residual_norm=rnorm,
-                newton_iterations=iteration,
-            )
-        if not math.isfinite(rnorm):
-            raise ConvergenceError(
-                f"non-finite residual at V_G={v_gate} (iteration {iteration})",
-                residual=rnorm,
-                iterations=iteration,
-            )
-        if iteration == MAX_NEWTON_ITERATIONS:
-            break
-        ab[ny] = lap_diag - q_vol * dn
-        ab[ny, bc_mask] = 1.0
-        try:
-            dphi = solve_banded(ab, -f, lu)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-            raise ConvergenceError(
-                f"singular linear system at V_G={v_gate} (iteration {iteration})",
-                residual=rnorm,
-                iterations=iteration,
-            ) from exc
-        np.clip(dphi, -clamp, clamp, out=dphi)
-        phi = phi + dphi
-
-    raise ConvergenceError(
-        f"Newton did not converge at V_G={v_gate}: residual {rnorm:.3e} > {tol:.3e} "
-        f"after {MAX_NEWTON_ITERATIONS} iterations",
-        residual=rnorm,
-        iterations=MAX_NEWTON_ITERATIONS,
-    )
+    return _newton(mesh, coeffs, params, zero_charge)(v_gate, phi0)
 
 
 def ramp_sweep(
@@ -295,11 +311,16 @@ def ramp_sweep(
     v_end: float,
     step: float,
 ) -> SweepDataset:
-    """Solve a gate ramp, reusing each solution as the next initial guess.
+    """Solve a gate ramp by natural-parameter continuation.
 
     The bias list is v_start + k*step up to v_end inclusive; the default
-    0 -> 0.75 V at 7.5 mV gives 101 snapshots.  Solver failures are
-    re-raised with the offending bias index attached.
+    0 -> 0.75 V at 7.5 mV gives 101 snapshots.  Newton starts the first
+    bias from the contact interpolation, the second from the first's
+    solution and each later one from the secant predictor
+    2 * phi[k-1] - phi[k-2], which saves one step per bias; a quadratic
+    3-point predictor saves more but stops its solves just inside the
+    tolerance.  Solver failures are re-raised with the offending bias
+    index attached.
     """
     for name, value in (("v_start", v_start), ("v_end", v_end), ("step", step)):
         if not math.isfinite(value):
@@ -311,12 +332,15 @@ def ramp_sweep(
     n_steps = int(round((v_end - v_start) / step)) if v_end > v_start else 0
     biases = v_start + step * np.arange(n_steps + 1)
 
-    coeffs = assemble_fv_coefficients(mesh)
+    solve = _newton(mesh, assemble_fv_coefficients(mesh), params, zero_charge=False)
     snapshots = []
-    phi_prev = None
     for k, v in enumerate(biases):
+        if k >= 2:
+            phi0 = 2.0 * snapshots[-1].phi - snapshots[-2].phi
+        else:
+            phi0 = snapshots[-1].phi if snapshots else None
         try:
-            snap = solve_equilibrium(mesh, coeffs, params, float(v), phi0=phi_prev)
+            snap = solve(float(v), phi0)
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"sweep failed at bias index {k} (V_G={v:.6g} V): {exc}",
@@ -324,7 +348,6 @@ def ramp_sweep(
                 iterations=exc.iterations,
             ) from exc
         snapshots.append(snap)
-        phi_prev = snap.phi
         logger.debug("V_G=%.4f V converged in %d iterations", v, snap.newton_iterations)
     return SweepDataset(snapshots=snapshots, mesh_fingerprint=mesh.fingerprint(), params=params)
 

@@ -337,10 +337,11 @@ def sweep_solve(problem: PinnProblem, biases, opts: SolveOptions) -> list:
     Returns, per bias, its ``PinnResult`` or, if the loss diverged, the
     ``DivergedError`` itself, which keeps the step and the partial loss
     history; the rest of the sweep continues past a divergence.  Every
-    bias is checked against the solvable range before any is trained.  Each result is bitwise equal to ``solve_bias`` at the same
-    bias and options, so it does not depend on the other biases.  The
-    bits do depend on the OpenBLAS thread count (``OPENBLAS_NUM_THREADS``),
-    which changes the summation order of the matrix products.  This only
+    bias is checked against the solvable range before any is trained.
+    Each result is bitwise equal to ``solve_bias`` at the same bias and
+    options, so it does not depend on the other biases.  The bits do
+    depend on the OpenBLAS thread count (``OPENBLAS_NUM_THREADS``), which
+    changes the summation order of the matrix products.  This only
     solves; it never scores against an oracle (see ``evaluate_against``).
     """
     biases = [float(v) for v in biases]
