@@ -15,14 +15,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 
 __all__ = [
     "SemiconductorParams",
     "default_params",
     "electron_density",
     "fermi_half",
-    "fermi_half_approx",
     "fermi_half_quadrature",
     "inverse_fermi_half",
 ]
@@ -30,7 +28,6 @@ __all__ = [
 _GAMMA_3_2 = 0.5 * math.sqrt(math.pi)
 # Prefactor 3*sqrt(pi)/4 of the Bednarczyk closed form.
 _BED_C = 0.75 * math.sqrt(math.pi)
-_LN10 = math.log(10.0)
 
 
 @dataclass(frozen=True)
@@ -55,40 +52,26 @@ class SemiconductorParams:
             raise ValueError(f"v_t must be positive, got {self.v_t}")
 
 
-def fermi_half_approx(eta):
-    """Bednarczyk closed-form approximation of F_1/2(eta).
+def fermi_half(eta):
+    """Bednarczyk closed-form approximation of F_1/2(eta) and its exact
+    derivative in one pass: (F, dF/deta).
 
     F(eta) = 1 / (exp(-eta) + 3*sqrt(pi)/4 * nu(eta)**(-3/8)) with
     nu(eta) = eta**4 + 50 + 33.6*eta*(1 - 0.68*exp(-0.17*(eta + 1)**2)),
     normalized so that F -> exp(eta) in the nondegenerate limit.  Accurate
-    to about 0.4% relative against ``fermi_half_quadrature``.  The value
-    form, for scalar searches; ``fermi_half`` also gives the derivative.
+    to about 0.4% relative against ``fermi_half_quadrature``.  The
+    derivative is that of the approximation itself (not of the true
+    integral), which keeps Newton Jacobians and backpropagation consistent
+    with finite differences of the closure in use.  Accepts scalars or
+    arrays; total on finite input.
 
-    Accepts scalars or arrays; total on finite input.
-    """
-    eta = np.asarray(eta, dtype=float)
-    e2 = eta * eta
-    with np.errstate(over="ignore"):
-        nu = e2 * e2 + 50.0 + 33.6 * eta * (1.0 - 0.68 * np.exp(-0.17 * (eta + 1.0) ** 2))
-        out = 1.0 / (np.exp(-eta) + _BED_C * nu**-0.375)
-    return out if out.ndim else float(out)
-
-
-def fermi_half(eta):
-    """``fermi_half_approx`` and its exact derivative in one pass: (F, dF/deta).
-
-    F is bit-equal to ``fermi_half_approx``.  The derivative is that of the
-    approximation itself (not of the true integral), which keeps Newton
-    Jacobians and backpropagation consistent with finite differences of the
-    closure in use.
-
-    No ``pow`` here or in ``fermi_half_approx`` has eta as its base: the
-    powers of eta are products, and the one ``pow`` has the base nu > 0.
-    numpy's ``pow`` leaves its SIMD path for a negative base, at about
-    160 ns per element against 4 ns for a positive one.  On the canonical
-    device's 2193 nodes, 11-23% of them at negative eta along the
-    0-0.75 V ramp, ``eta**4`` and ``eta**3`` made this function take
-    210-335 µs; without them it takes 100-120 µs.
+    No ``pow`` here has eta as its base: the powers of eta are products,
+    and the one ``pow`` has the base nu > 0.  numpy's ``pow`` leaves its
+    SIMD path for a negative base, at about 160 ns per element against
+    4 ns for a positive one.  On the canonical device's 2193 nodes, 11-23%
+    of them at negative eta along the 0-0.75 V ramp, ``eta**4`` and
+    ``eta**3`` made this function take 210-335 µs; without them it takes
+    100-120 µs.
     """
     eta = np.asarray(eta, dtype=float)
     e2 = eta * eta
@@ -112,6 +95,8 @@ def fermi_half_quadrature(eta: float) -> float:
     splitting at x = eta so the Fermi-edge region is resolved.  Raises
     ArithmeticError if the quadrature error estimate is too large.
     """
+    from scipy import integrate  # here, so that importing the package skips it
+
     eta = float(eta)
 
     def integrand(x):
@@ -136,37 +121,40 @@ def fermi_half_quadrature(eta: float) -> float:
 
 
 def inverse_fermi_half(u: float) -> float:
-    """Solve fermi_half_approx(eta) = u for eta, u > 0.
+    """Solve fermi_half(eta)[0] = u for eta, u > 0.
 
-    Bracketed Brent iteration plus one Newton polish; the result satisfies
-    |F(eta) - u| <= 1e-12 * u.  Raises ValueError for u <= 0.
+    Newton on ``fermi_half``, kept inside a bracket that each step narrows;
+    a step that would leave the bracket bisects it instead.  The result
+    satisfies |F(eta) - u| <= 1e-13 * u.  Raises ValueError for u <= 0 and
+    ArithmeticError if 100 steps do not get there.
     """
     u = float(u)
     if not u > 0.0:
         raise ValueError(f"inverse_fermi_half requires u > 0, got {u}")
-    # F(eta) < exp(eta) everywhere, so log(u) always brackets from below.
+    # F(eta) < exp(eta) everywhere, so log(u) brackets from below.  Where
+    # rounding puts F(log u) above u, it is by at most half an ulp of
+    # |log u| < 709, 5.7e-14 relative, so the first step stops there.
     lo = math.log(u)
     hi = max(2.0, (u / 0.752) ** (2.0 / 3.0) + 2.0)
     for _ in range(200):
-        if fermi_half_approx(hi) > u:
+        if fermi_half(hi)[0] > u:
             break
         hi = hi * 1.5 + 1.0
     else:  # pragma: no cover - F is unbounded, bracket always found
         raise ArithmeticError(f"could not bracket inverse Fermi integral for u={u}")
-    eta = optimize.brentq(
-        lambda e: fermi_half_approx(e) - u,
-        lo,
-        hi,
-        xtol=1e-13,
-        rtol=4.0 * np.finfo(float).eps,
-        maxiter=200,
-    )
-    for _ in range(2):
+    eta = lo
+    for _ in range(100):
         f, df = fermi_half(eta)
         if abs(f - u) <= 1e-13 * u:
-            break
+            return eta
+        if f < u:
+            lo = eta
+        else:
+            hi = eta
         eta -= (f - u) / df
-    return float(eta)
+        if not lo < eta < hi:
+            eta = 0.5 * (lo + hi)
+    raise ArithmeticError(f"inverse Fermi integral did not converge for u={u}")
 
 
 def electron_density(phi, params: SemiconductorParams, silicon_mask=None):

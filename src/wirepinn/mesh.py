@@ -99,13 +99,9 @@ def load_device_config(path) -> DeviceConfig:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" in line:
-                key, _, raw = line.partition("=")
-            else:
-                parts = line.split(None, 1)
-                if len(parts) != 2:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-                key, raw = parts
+            key, sep, raw = line.partition("=")
+            if not sep:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key = key.strip()
             raw = raw.strip()
             if key not in _CONFIG_KEYS:
@@ -165,9 +161,6 @@ class TensorMesh:
     @property
     def n_nodes(self) -> int:
         return self.nx * self.ny
-
-    def node_index(self, ix: int, iy: int) -> int:
-        return ix * self.ny + iy
 
     def silicon_mask(self) -> np.ndarray:
         return self.region == SILICON

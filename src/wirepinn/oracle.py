@@ -313,14 +313,15 @@ def ramp_sweep(
 ) -> SweepDataset:
     """Solve a gate ramp by natural-parameter continuation.
 
-    The bias list is v_start + k*step up to v_end inclusive; the default
-    0 -> 0.75 V at 7.5 mV gives 101 snapshots.  Newton starts the first
-    bias from the contact interpolation, the second from the first's
-    solution and each later one from the secant predictor
-    2 * phi[k-1] - phi[k-2], which saves one step per bias; a quadratic
-    3-point predictor saves more but stops its solves just inside the
-    tolerance.  Solver failures are re-raised with the offending bias
-    index attached.
+    The bias list is v_start + k*step up to v_end inclusive, never past
+    it; a quotient (v_end - v_start)/step that rounding left within 1e-9
+    below an integer keeps that last bias, so the default 0 -> 0.75 V at
+    7.5 mV gives 101 snapshots.  Newton starts the first bias from the
+    contact interpolation, the second from the first's solution and each
+    later one from the secant predictor 2 * phi[k-1] - phi[k-2], which
+    saves one step per bias; a quadratic 3-point predictor saves more but
+    stops its solves just inside the tolerance.  Solver failures are
+    re-raised with the offending bias index attached.
     """
     for name, value in (("v_start", v_start), ("v_end", v_end), ("step", step)):
         if not math.isfinite(value):
@@ -329,7 +330,7 @@ def ramp_sweep(
         raise ValueError(f"step must be positive, got {step}")
     if v_end < v_start:
         raise ValueError(f"v_end={v_end} must be >= v_start={v_start}")
-    n_steps = int(round((v_end - v_start) / step)) if v_end > v_start else 0
+    n_steps = math.floor((v_end - v_start) / step + 1e-9)
     biases = v_start + step * np.arange(n_steps + 1)
 
     solve = _newton(mesh, assemble_fv_coefficients(mesh), params, zero_charge=False)

@@ -47,7 +47,6 @@ __all__ = [
     "postprocess",
     "solve_bias",
     "sweep_solve",
-    "teacher_forced_losses",
 ]
 
 logger = logging.getLogger(__name__)
@@ -318,17 +317,6 @@ def evaluate_against(prediction: Snapshot, oracle: Snapshot,
         v_gate_extracted=(gate_voltage(prediction.phi, gate_nodes)
                           if gate_nodes is not None else float("nan")),
     )
-
-
-def teacher_forced_losses(problem: PinnProblem, snapshot: Snapshot):
-    """Losses with the generator bypassed and the oracle density fed in.
-
-    Documents the fixed-point property: at ground truth the consistency
-    loss vanishes up to surrogate error and the boundary loss equals the
-    squared surrogate gate error.
-    """
-    losses = problem.build_losses(normalize_density(snapshot.n), snapshot.v_gate)[:3]
-    return tuple(float(x) for x in losses)
 
 
 def sweep_solve(problem: PinnProblem, biases, opts: SolveOptions) -> list:

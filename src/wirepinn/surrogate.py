@@ -55,6 +55,15 @@ class SurrogateMeta:
     density_offset: float = DENSITY_OFFSET
     density_scale: float = DENSITY_SCALE
 
+    def __post_init__(self):
+        # every caller normalizes with the module constants, so a model
+        # fitted under others would be silently misread
+        if (self.density_offset, self.density_scale) != (DENSITY_OFFSET, DENSITY_SCALE):
+            raise ValueError(
+                f"density normalization (offset {self.density_offset:g}, scale {self.density_scale:g}) "
+                f"differs from the solver's (offset {DENSITY_OFFSET:g}, scale {DENSITY_SCALE:g})"
+            )
+
 
 @dataclass(frozen=True)
 class LinearSurrogate:

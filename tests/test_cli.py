@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -310,6 +314,21 @@ class TestSolveInput:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and named in err
         assert calls == [] and not out.exists()
+
+
+def test_cli_loads_no_scipy_solver_or_quadrature():
+    # importing the CLI and generate's one root find, the contact potential,
+    # stay off scipy.optimize and scipy.integrate, which every command
+    # would otherwise pay to import
+    code = ("import sys, wirepinn.cli\n"
+            "from wirepinn import fermi, mesh, oracle\n"
+            "oracle.built_in_potential(mesh.build_device_mesh(), fermi.default_params())\n"
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_missing_surrogate_file(tmp_path, capsys):

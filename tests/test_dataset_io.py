@@ -175,6 +175,15 @@ class TestModelContainer:
         with pytest.raises(dio.FormatError, match="surrogate container lacks left, intercept, rcond$"):
             dio.read_model(tmp_path / "bad.wpnn")
 
+    def test_foreign_normalization_rejected(self, lr_surrogate, tmp_path):
+        # the solver normalizes with the module constants; a model fitted
+        # under others must not load
+        path = tmp_path / "sur.wpnn"
+        dio.write_model(lr_surrogate, path)
+        _edit_container(path, tmp_path / "bad.wpnn", meta={"density_scale": 2e19})
+        with pytest.raises(dio.FormatError, match=r"bad\.wpnn: density normalization .*scale 2e\+19"):
+            dio.read_model(tmp_path / "bad.wpnn")
+
     def test_wrong_version(self, lr_surrogate, tmp_path):
         path = tmp_path / "sur.wpnn"
         dio.write_model(lr_surrogate, path)

@@ -25,7 +25,7 @@ class TestBuild:
 
     def test_doping_levels(self, default_mesh):
         m = default_mesh
-        assert m.net_doping[m.node_index(0, 0)] == pytest.approx(1e20)
+        assert m.net_doping[0] == pytest.approx(1e20)  # node (ix, iy) = (0, 0)
         center = nearest_node(m, 0.0405, 0.0)
         assert m.net_doping[center] == pytest.approx(-1e10)
 
@@ -118,7 +118,7 @@ class TestNearestNode:
         m = default_mesh
         x_mid = 0.5 * (m.x_nodes[3] + m.x_nodes[4])
         node = nearest_node(m, x_mid, m.y_nodes[0])
-        assert node == m.node_index(3, 0)
+        assert node == 3 * m.ny  # node (3, 0)
 
 
 class TestFvCoefficients:
@@ -192,6 +192,12 @@ class TestConfigFile:
         path = tmp_path / "device.cfg"
         path.write_text("radius_um = 4\n")
         with pytest.raises(ConfigError, match="unknown config key"):
+            load_device_config(path)
+
+    def test_line_without_equals_sign(self, tmp_path):
+        path = tmp_path / "device.cfg"
+        path.write_text("nx = 17\nradius_nm 4\n")
+        with pytest.raises(ConfigError, match=r":2: expected 'key = value', got 'radius_nm 4'"):
             load_device_config(path)
 
     def test_bad_value_reports_line(self, tmp_path):

@@ -121,6 +121,10 @@ class TestRampSweep:
         assert len(ds) == 1
         assert ds.snapshots[0].v_gate == 0.3
 
+    def test_last_bias_never_passes_v_end(self, small_mesh, params):
+        assert list(ramp_sweep(small_mesh, params, 0.0, 0.05, 0.03).biases) == [0.0, 0.03]
+        assert list(ramp_sweep(small_mesh, params, 0.0, 0.2, 0.3).biases) == [0.0]
+
     def test_invalid_ranges(self, default_mesh, params):
         with pytest.raises(ValueError):
             ramp_sweep(default_mesh, params, 0.0, 0.75, 0.0)
@@ -186,7 +190,7 @@ class TestResidualCheck:
     def test_perturbation_increases_residual(self, default_mesh, default_coeffs, params, oracle_sweep):
         snap = oracle_sweep.snapshots[50]
         base = residual_check(default_mesh, default_coeffs, params, snap)
-        node = default_mesh.node_index(default_mesh.nx // 2, 3)
+        node = (default_mesh.nx // 2) * default_mesh.ny + 3
         phi = snap.phi.copy()
         phi[node] += 1e-3
         perturbed = type(snap)(v_gate=snap.v_gate, phi=phi, n=snap.n)

@@ -15,7 +15,6 @@ from wirepinn.pinn import (
     postprocess,
     solve_bias,
     sweep_solve,
-    teacher_forced_losses,
 )
 
 
@@ -110,7 +109,8 @@ class TestFirewall:
 
 class TestFixedPoint:
     def test_teacher_forced_training_snapshot(self, problem, oracle_sweep):
-        l1, l2, total = teacher_forced_losses(problem, oracle_sweep.snapshots[20])
+        s = oracle_sweep.snapshots[20]
+        l1, l2, total = problem.build_losses(surrogate.normalize_density(s.n), s.v_gate)[:3]
         assert l2 <= 1e-12
         assert total <= l1 + 1e-12
 
@@ -118,7 +118,8 @@ class TestFixedPoint:
         # loss1 at ground truth equals the squared surrogate gate error
         stats = surrogate.scatter_stats(problem.surrogate, oracle_sweep, default_mesh.gate_nodes())
         gate_err_sq = float(np.max(stats["gate_err"] ** 2))
-        l1, l2, _ = teacher_forced_losses(problem, oracle_sweep.snapshots[100])
+        s = oracle_sweep.snapshots[100]
+        l1, l2, _ = problem.build_losses(surrogate.normalize_density(s.n), s.v_gate)[:3]
         assert l1 <= 4.0 * gate_err_sq + 1e-12
         assert l2 <= 1e-3  # surrogate error through the steep closure, small but nonzero
 
