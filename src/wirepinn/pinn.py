@@ -151,6 +151,14 @@ class SolveOptions:
     def __post_init__(self):
         if self.arch != "dense":
             raise ValueError(f"unknown generator architecture {self.arch!r}; only 'dense' is available")
+        if self.epochs < 1:
+            raise ValueError(f"epochs {self.epochs} is below 1")
+        outside = [c for c in self.checkpoints if not 1 <= c <= self.epochs]
+        if outside:
+            raise ValueError(f"checkpoints {outside} outside 1..epochs ({self.epochs}); "
+                             "they would never be recorded")
+        if self.log_every < 0:
+            raise ValueError(f"log_every {self.log_every} is negative; 0 disables logging")
 
 
 @dataclass
@@ -219,8 +227,6 @@ def solve_bias(problem: PinnProblem, v_gate: float, opts: SolveOptions) -> PinnR
     """
     _check_bias(v_gate)
     epochs, seed = opts.epochs, opts.seed
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
 
     net = ad.GeneratorNet(n_out=problem.mesh.n_nodes, seed=seed)
     adam = ad.AdamState(net.params, lr=LR)

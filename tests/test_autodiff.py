@@ -364,6 +364,27 @@ class TestAdam:
         assert state.m_scale == ad.ADAM_BETA1
         assert state.v_scale == pytest.approx(ad.ADAM_BETA2**4)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_blocked_passes_bit_equal(self, monkeypatch, dtype):
+        # blocks of 1000 cut the 257x65 weight into 16 full blocks and a
+        # 705-element rest, the 1001-element bias into one full block and
+        # one element; blocks above every size leave each parameter whole
+        def run(block):
+            monkeypatch.setattr(ad, "ADAM_BLOCK", block)
+            rng = np.random.default_rng(5)
+            w = ad.Tensor((1e-2 * rng.standard_normal((257, 65))).astype(dtype))
+            b = ad.Tensor((1e-2 * rng.standard_normal(1001)).astype(dtype))
+            state = ad.AdamState([w, b], lr=3e-3)
+            assert state._scratch.size == min(w.value.size, block)
+            for _ in range(10):
+                g, x = rng.standard_normal(257).astype(dtype), rng.standard_normal(65).astype(dtype)
+                ad.adam_step(state, [w, b], [(g, x), rng.standard_normal(1001).astype(dtype)])
+            return [w.value, b.value, *state.m, *state.v], (state.m_scale, state.v_scale)
+
+        blocked, whole = run(1000), run(10**6)
+        assert all(np.array_equal(a, c) for a, c in zip(blocked[0], whole[0]))
+        assert blocked[1] == whole[1]
+
     def test_float32_parameter_keeps_dtype(self):
         # a float32 Tensor stays float32, a float64 gradient is rounded to
         # it, and a whole-number value becomes float64

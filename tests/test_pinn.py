@@ -232,6 +232,19 @@ class TestTrainingGradient:
                 assert np.max(np.abs(g32 - g64)) <= 2e-6 * np.max(np.abs(g64)), v_gate
 
 
+class TestSolveOptions:
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"epochs": 0}, "epochs"),
+        ({"epochs": 100, "checkpoints": (200, 0)}, "checkpoints"),
+        ({"epochs": 100, "checkpoints": (0,)}, "checkpoints"),
+        ({"log_every": -1}, "log_every"),
+    ])
+    def test_options_check_their_fields(self, kwargs, field):
+        # a checkpoint outside the budget would only fail later, as a KeyError
+        with pytest.raises(ValueError, match=field):
+            SolveOptions(**kwargs)
+
+
 @pytest.mark.slow
 class TestSolveBias:
     def test_short_run_decreases_loss(self, small_problem, small_sweep):
