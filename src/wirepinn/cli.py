@@ -1,19 +1,21 @@
 """Operator entry point: generate data, fit the surrogate, solve biases.
 
-Subcommands: generate, fit-lr, solve, report.  ``solve`` takes
-one gate bias or a comma list of them and solves each in turn, writing
-the same products for every bias.  Its ``--epochs`` is one budget or a
-comma list of them: training runs to the largest, and each budget is
-scored against the ``--sweep`` oracle in its own report, as if the run
-had stopped there.  With ``-v``, ``solve`` logs its training progress
-every 1% of the largest budget.  The probe traces (``generate``'s
-``<sweep>_probe.csv`` and ``solve``'s ``probe_trace.csv``) read the node
-nearest the middle of the wire axis, halfway out through the silicon
-radius (``mesh.probe_node``).  ``report`` summarizes a sweep or surrogate
-container, a report or a loss-history file, told apart by the container
-magic or the first line of text.  Every command is
-reproducible: the same config, seed and OpenBLAS thread count produce
-byte-identical data products (no timestamps in payloads).
+Subcommands: generate, fit-lr, solve, report.  ``solve`` takes one gate
+bias or a comma list of them, solves a list on one worker process per
+core (``pinn.sweep_solve``) and writes the same products for every bias.
+Its ``--epochs`` is one budget or a comma list of them: training runs to
+the largest, and each budget is scored against the ``--sweep`` oracle in
+its own report, as if the run had stopped there.  With ``-v``, ``solve``
+logs its training progress every 1% of the largest budget, from every
+worker.  The probe traces (``generate``'s ``<sweep>_probe.csv`` and
+``solve``'s ``probe_trace.csv``) read the node nearest the middle of the
+wire axis, halfway out through the silicon radius (``mesh.probe_node``).
+``report`` summarizes a sweep or surrogate container, a report or a
+loss-history file, told apart by the container magic or the first line
+of text.  Every command is reproducible: the same config and seed
+produce byte-identical data products (no timestamps in payloads),
+whatever the core count or ``OPENBLAS_NUM_THREADS``, because BLAS runs
+on one thread (``_blas``).
 
 Exit codes: 0 ok, 1 configuration error, 2 oracle failure, 3 solver
 divergence.
@@ -265,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="device config file")
     p.add_argument("--surrogate", required=True)
     p.add_argument("--sweep", help="oracle sweep file for error reports")
-    p.add_argument("--vg", required=True, help="gate bias [V], or a comma list solved in turn")
+    p.add_argument("--vg", required=True, help="gate bias [V], or a comma list solved on one worker process per core")
     p.add_argument("--epochs", default=str(pinn.SolveOptions.epochs),
                    help="training epochs, or a comma list of budgets each scored in its own report "
                         "(needs --sweep), e.g. 30000,100000,200000")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from . import fermi
+from . import _blas, fermi
 from .mesh import (
     CONTACT_DRAIN,
     CONTACT_GATE,
@@ -304,6 +304,7 @@ def solve_equilibrium(
     return _newton(mesh, coeffs, params, zero_charge)(v_gate, phi0)
 
 
+@_blas.one_thread()
 def ramp_sweep(
     mesh: TensorMesh,
     params: fermi.SemiconductorParams,
@@ -321,7 +322,8 @@ def ramp_sweep(
     later one from the secant predictor 2 * phi[k-1] - phi[k-2], which
     saves one step per bias; a quadratic 3-point predictor saves more but
     stops its solves just inside the tolerance.  Solver failures are
-    re-raised with the offending bias index attached.
+    re-raised with the offending bias index attached.  BLAS runs on one
+    thread (`_blas`).
     """
     for name, value in (("v_start", v_start), ("v_end", v_end), ("step", step)):
         if not math.isfinite(value):

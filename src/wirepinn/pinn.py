@@ -21,13 +21,16 @@ postprocess shift passes the gradient through unchanged, and
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _blas
 from . import autodiff as ad
 from . import fermi
 from .mesh import TensorMesh
@@ -70,6 +73,11 @@ class DivergedError(RuntimeError):
         super().__init__(message)
         self.step = step
         self.history = history
+
+    def __reduce__(self):
+        # an exception pickles as its class and ``args`` (the message
+        # alone), which could not rebuild the step and history
+        return type(self), (self.args[0], self.step, self.history)
 
 
 @dataclass
@@ -213,6 +221,7 @@ def _check_bias(v_gate: float) -> None:
         raise ValueError(f"v_gate {v_gate} outside the sane [-0.01, 1] V range")
 
 
+@_blas.one_thread()
 def solve_bias(problem: PinnProblem, v_gate: float, opts: SolveOptions) -> PinnResult:
     """Train a fresh generator to solve one gate bias.
 
@@ -223,7 +232,9 @@ def solve_bias(problem: PinnProblem, v_gate: float, opts: SolveOptions) -> PinnR
     state within the budget, the full loss history and the checkpoints:
     the final budget and any requested earlier one, each the best state
     within its own budget, so a checkpoint equals a run stopped there.
-    Raises DivergedError if the loss goes non-finite.
+    Raises DivergedError if the loss goes non-finite.  BLAS runs on one
+    thread (`_blas`), so the bits do not depend on the host's core count
+    or ``OPENBLAS_NUM_THREADS``.
     """
     _check_bias(v_gate)
     epochs, seed = opts.epochs, opts.seed
@@ -326,25 +337,112 @@ def evaluate_against(prediction: Snapshot, oracle: Snapshot,
 
 
 def sweep_solve(problem: PinnProblem, biases, opts: SolveOptions) -> list:
-    """One ``solve_bias`` per bias, in order, each with a fresh generator.
+    """One ``solve_bias`` per bias, each with a fresh generator, on one
+    spawned worker process per CPU this process may run on (never more
+    than there are biases); with one worker, in this process.
 
-    Returns, per bias, its ``PinnResult`` or, if the loss diverged, the
-    ``DivergedError`` itself, which keeps the step and the partial loss
-    history; the rest of the sweep continues past a divergence.  Every
-    bias is checked against the solvable range before any is trained.
-    Each result is bitwise equal to ``solve_bias`` at the same bias and
-    options, so it does not depend on the other biases.  The bits do
-    depend on the OpenBLAS thread count (``OPENBLAS_NUM_THREADS``), which
-    changes the summation order of the matrix products.  This only
-    solves; it never scores against an oracle (see ``evaluate_against``).
+    Returns, per bias and in the order given, its ``PinnResult`` or, if
+    the loss diverged, the ``DivergedError`` itself, which keeps the step
+    and the partial loss history; the rest of the sweep continues past a
+    divergence.  Every bias is checked against the solvable range before
+    any is trained.  A worker that dies raises a RuntimeError naming the
+    bias it was solving.  ``solve_bias`` runs BLAS on one thread, so each
+    result is bitwise equal to ``solve_bias`` at the same bias and
+    options wherever it ran, whatever the other biases and the thread
+    count.  A worker's log records are logged here, so ``log_every``
+    progress shows for every bias.  This only solves; it never scores
+    against an oracle (see ``evaluate_against``).
     """
     biases = [float(v) for v in biases]
     for v in biases:
         _check_bias(v)
-    results: list = []
-    for v in biases:
-        try:
-            results.append(solve_bias(problem, v, opts))
-        except DivergedError as exc:
-            results.append(exc)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    n_workers = min(cpus, len(biases))
+    if n_workers <= 1:
+        return [_solve_or_diverged(problem, v, opts) for v in biases]
+    return _pooled(problem, biases, opts, n_workers)
+
+
+def _solve_or_diverged(problem: PinnProblem, v_gate: float, opts: SolveOptions):
+    try:
+        return solve_bias(problem, v_gate, opts)
+    except DivergedError as exc:
+        return exc
+
+
+class _SendLogs(logging.Handler):
+    """A worker's log records, sent to the parent as ("log", record)."""
+
+    def __init__(self, conn):
+        super().__init__()
+        self.conn = conn
+
+    def emit(self, record):
+        # the message is rendered here: its arguments need not pickle
+        record.msg, record.args, record.exc_info = record.getMessage(), None, None
+        self.conn.send(("log", record))
+
+
+def _worker(conn, problem: PinnProblem, opts: SolveOptions, level: int) -> None:
+    """A spawned worker: solves each bias the parent sends, until None."""
+    log = logging.getLogger(__package__)
+    log.setLevel(level)
+    log.addHandler(_SendLogs(conn))
+    log.propagate = False
+    while (v_gate := conn.recv()) is not None:
+        conn.send(("done", _solve_or_diverged(problem, v_gate, opts)))
+
+
+def _pooled(problem: PinnProblem, biases: list, opts: SolveOptions, n_workers: int) -> list:
+    # imported here, as only a pool needs them: at module level they cost
+    # every command about 0.5 MB of peak memory
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context("spawn")
+    results = [None] * len(biases)
+    todo = list(reversed(range(len(biases))))
+    workers = {}  # a worker's pipe -> its process
+    running = {}  # a worker's pipe -> the index of the bias it solves
+
+    def hand_out(conn):
+        if todo:
+            running[conn] = todo.pop()
+            with contextlib.suppress(BrokenPipeError):  # a dead worker reads as EOF below
+                conn.send(biases[running[conn]])
+
+    done = False
+    try:
+        for _ in range(n_workers):
+            conn, child = ctx.Pipe()
+            proc = ctx.Process(target=_worker, args=(child, problem, opts, logger.getEffectiveLevel()),
+                               daemon=True)
+            proc.start()
+            child.close()  # the worker's end is its own now; a dead worker reads as EOF here
+            workers[conn] = proc
+            hand_out(conn)
+        while running:
+            for conn in wait(list(running)):
+                try:
+                    kind, payload = conn.recv()
+                except EOFError:
+                    workers[conn].join(timeout=10.0)
+                    raise RuntimeError(f"the worker solving V_G={biases[running[conn]]:g} died "
+                                       f"(exit code {workers[conn].exitcode})") from None
+                if kind == "log":
+                    logging.getLogger(payload.name).handle(payload)
+                else:
+                    results[running.pop(conn)] = payload
+                    hand_out(conn)
+        done = True
+    finally:
+        for conn, proc in workers.items():
+            if not done:
+                proc.terminate()
+                continue
+            with contextlib.suppress(BrokenPipeError):  # it died after its last result
+                conn.send(None)
+        for conn, proc in workers.items():
+            proc.join()
+            conn.close()
     return results

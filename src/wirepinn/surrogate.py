@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas, svd
 
+from . import _blas
+
 __all__ = [
     "DENSITY_OFFSET",
     "DENSITY_SCALE",
@@ -90,6 +92,7 @@ class LinearSurrogate:
             arr.flags.writeable = False
 
 
+@_blas.one_thread()
 def fit(snapshots, mesh_fingerprint: str) -> LinearSurrogate:
     """Least-squares fit of potential profiles against normalized densities.
 
@@ -103,7 +106,8 @@ def fit(snapshots, mesh_fingerprint: str) -> LinearSurrogate:
 
     The SVD and the products run on scipy's OpenBLAS, as the generator's
     do: a fit on numpy's leaves that pool spinning into the next solve,
-    which then waits for it (see `autodiff`'s docstring).
+    which then waits for it (see `autodiff`'s docstring).  They run on
+    one thread (`_blas`): the SVD of a 40 x 2193 matrix is faster so.
     """
     if len(snapshots) == 0:
         raise ValueError("cannot fit a surrogate on zero snapshots")

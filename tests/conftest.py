@@ -1,4 +1,6 @@
 import dataclasses
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -70,6 +72,57 @@ def skewed_derivative(monkeypatch):
         return f, 1.1 * np.asarray(df)
 
     monkeypatch.setattr(fermi, "fermi_half", skewed)
+
+
+# Faults that reach `sweep_solve`'s spawned workers, which never see a
+# monkeypatch: a module-level class pickles by reference, so a worker
+# unpickles the fault with the problem it is sent.
+@dataclasses.dataclass
+class DivergingProblem(pinn.PinnProblem):
+    """The solve at ``diverge_at`` raises a DivergedError carrying
+    ``history``, as if the loss had gone non-finite after that many steps."""
+
+    diverge_at: float = float("nan")
+    history: np.ndarray | None = None
+
+    def build_losses(self, n_tilde, v_gate):
+        if v_gate == self.diverge_at:
+            raise pinn.DivergedError(f"forced at V_G={v_gate}", step=len(self.history),
+                                     history=self.history)
+        return super().build_losses(n_tilde, v_gate)
+
+
+@dataclasses.dataclass
+class DyingProblem(pinn.PinnProblem):
+    """The worker process that solves ``die_at`` exits at once, as a
+    killed worker does.  Outside a worker it raises instead, so a sweep
+    that spawned nothing fails its test rather than ending the run."""
+
+    die_at: float = float("nan")
+
+    def build_losses(self, n_tilde, v_gate):
+        if v_gate == self.die_at:
+            if multiprocessing.parent_process() is None:
+                raise RuntimeError(f"V_G={v_gate} was solved outside a worker")
+            os._exit(70)
+        return super().build_losses(n_tilde, v_gate)
+
+
+@pytest.fixture(scope="session")
+def diverging_problem():
+    return DivergingProblem
+
+
+@pytest.fixture(scope="session")
+def dying_problem():
+    return DyingProblem
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """`sweep_solve` sees two CPUs, so a sweep of two or more biases runs
+    on two spawned workers on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
 # A coarse device for tests that train or solve many times.

@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -264,16 +265,10 @@ class TestSolveAndSweep:
         capsys.readouterr()
 
     def test_divergence_writes_partial_history_and_continues(self, workdir, tmp_path, capsys,
-                                                             monkeypatch):
-        real_solve = pinn.solve_bias
+                                                             monkeypatch, diverging_problem, two_workers):
         partial = np.column_stack([np.arange(3), np.full(3, 1e-3), np.ones(3), np.ones(3), np.ones(3)])
-
-        def solve_or_diverge(problem, v_gate, opts):
-            if v_gate == 0.3:
-                raise pinn.DivergedError(f"forced at V_G={v_gate}", step=3, history=partial)
-            return real_solve(problem, v_gate, opts)
-
-        monkeypatch.setattr(pinn, "solve_bias", solve_or_diverge)
+        monkeypatch.setattr(pinn, "PinnProblem",
+                            functools.partial(diverging_problem, diverge_at=0.3, history=partial))
         out = tmp_path / "diverged"
         rc = main(["solve", "--config", str(workdir["cfg"]), "--surrogate", str(workdir["surrogate"]),
                    "--sweep", str(workdir["sweep"]), "--vg", "0.15,0.3,0.6",
@@ -288,6 +283,37 @@ class TestSolveAndSweep:
             assert dio.read_report(out / f"vg{v:g}_report.txt")[0]["v_gate"] == v
         probe = (out / "probe_trace.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in probe[1:]] == ["0.15", "0.6"]
+
+    def test_bits_ignore_blas_threads(self, oracle_sweep, lr_surrogate, default_mesh, tmp_path, capsys):
+        # A pooled two-bias solve in fresh processes, whatever OPENBLAS_NUM_THREADS
+        # says, writes what each bias's solo solve writes.  The canonical device:
+        # OpenBLAS runs the 17x8 device's small products on one thread anyway.
+        sweep, model = tmp_path / "sweep.wpnn", tmp_path / "surrogate.wpnn"
+        dio.write_sweep(oracle_sweep, default_mesh, sweep)
+        dio.write_model(lr_surrogate, model)
+        common = ["--surrogate", str(model), "--sweep", str(sweep), "--epochs", "30"]
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        runs = []
+        for threads in (None, "1", "2"):
+            env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+            env.pop("OPENBLAS_NUM_THREADS", None)
+            if threads:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"threads{threads}"
+            proc = subprocess.run([sys.executable, "-m", "wirepinn.cli", "solve", *common,
+                                   "--vg", "0.15,0.3", "--out", str(out)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert runs[0] == runs[1] == runs[2]
+        for v in ("0.15", "0.3"):
+            solo = tmp_path / f"solo{v}"
+            assert main(["solve", *common, "--vg", v, "--out", str(solo)]) == 0
+            for kind in ("loss_history.csv", "prediction.wpnn", "report.txt"):
+                name = f"vg{v}_{kind}"
+                assert (solo / name).read_bytes() == runs[0][name]
+        assert len(runs[0]) == 8  # and the probe trace and scatter of both
+        capsys.readouterr()
 
 
 class TestSolveInput:

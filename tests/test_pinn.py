@@ -1,4 +1,8 @@
 import dataclasses
+import multiprocessing
+import os
+import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -327,7 +331,7 @@ class TestSweepSolve:
         assert all(r.max_phi_err_pct >= 0.0 and r.max_logn_err_pct >= 0.0 for r in reports)
         assert np.array(probe_rows).shape == (3, 5)
 
-    def test_sweep_equals_solo(self, small_problem):
+    def test_sweep_equals_solo(self, small_problem, two_workers):
         opts = SolveOptions(epochs=300, seed=9)
         biases = [0.2, 0.6]
         sweep = sweep_solve(small_problem, biases, opts)
@@ -337,19 +341,59 @@ class TestSweepSolve:
             assert np.array_equal(result.prediction.n, solo.prediction.n)
             assert np.array_equal(result.history, solo.history)
 
-    def test_records_divergence(self, small_problem, monkeypatch):
-        real_solve = pinn.solve_bias
-
-        def solve_or_diverge(problem, v_gate, opts):
-            if v_gate == 0.6:
-                raise DivergedError(f"forced at V_G={v_gate}", step=3, history=np.zeros((3, 5)))
-            return real_solve(problem, v_gate, opts)
-
-        monkeypatch.setattr(pinn, "solve_bias", solve_or_diverge)
-        results = sweep_solve(small_problem, [0.2, 0.6, 0.3], SolveOptions(epochs=20, seed=9))
+    def test_records_divergence(self, small_problem, diverging_problem, two_workers):
+        problem = diverging_problem(mesh=small_problem.mesh, surrogate=small_problem.surrogate,
+                                    params=small_problem.params, diverge_at=0.6, history=np.zeros((3, 5)))
+        results = sweep_solve(problem, [0.2, 0.6, 0.3], SolveOptions(epochs=20, seed=9))
         assert isinstance(results[1], DivergedError) and "forced" in str(results[1])
         assert results[1].step == 3 and np.array_equal(results[1].history, np.zeros((3, 5)))
         assert results[0].prediction.v_gate == 0.2 and results[2].prediction.v_gate == 0.3
+
+    def test_dead_worker_names_its_bias(self, small_problem, dying_problem, two_workers):
+        problem = dying_problem(mesh=small_problem.mesh, surrogate=small_problem.surrogate,
+                                params=small_problem.params, die_at=0.6)
+        raised = []
+
+        def sweep():
+            try:
+                sweep_solve(problem, [0.2, 0.6, 0.3], SolveOptions(epochs=2000, seed=9))
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        runner = threading.Thread(target=sweep, daemon=True)
+        runner.start()
+        runner.join(timeout=120)
+        assert not runner.is_alive(), "sweep_solve hung on a dead worker"
+        assert len(raised) == 1
+        assert str(raised[0]) == "the worker solving V_G=0.6 died (exit code 70)"
+
+    def test_worker_progress_is_logged(self, small_problem, two_workers, caplog):
+        with caplog.at_level("INFO", logger="wirepinn.pinn"):
+            sweep_solve(small_problem, [0.2, 0.6], SolveOptions(epochs=20, seed=9, log_every=10))
+        lines = sorted(r.getMessage().split(" lr=")[0] for r in caplog.records if r.name == "wirepinn.pinn")
+        assert lines == ["V_G=0.2000 step 10/20", "V_G=0.2000 step 20/20",
+                         "V_G=0.6000 step 10/20", "V_G=0.6000 step 20/20"]
+
+    def test_one_worker_spawns_nothing(self, small_problem, monkeypatch):
+        # one bias, or one CPU, solves in this process
+        def no_pool(method):
+            raise AssertionError("spawned a worker")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        opts = SolveOptions(epochs=20, seed=9)
+        (single,) = sweep_solve(small_problem, [0.2], opts)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        pair = sweep_solve(small_problem, [0.2, 0.6], opts)
+        assert np.array_equal(single.history, pair[0].history)
+        assert pair[1].prediction.v_gate == 0.6
+
+
+class TestDivergedError:
+    def test_pickles_with_step_and_history(self):
+        history = np.arange(15.0).reshape(3, 5)
+        exc = pickle.loads(pickle.dumps(DivergedError("loss diverged at step 3", step=3, history=history)))
+        assert isinstance(exc, DivergedError) and str(exc) == "loss diverged at step 3"
+        assert exc.step == 3 and np.array_equal(exc.history, history)
 
 
 class TestSweepSolveRange:
