@@ -19,10 +19,14 @@ each of the four passes streams them from L3; a block of p, m, v and the
 scratch stays in L2 between them.  The passes are elementwise, so the
 blocking changes no bit.  Blocking the ``ger`` calls too was slower.
 
-All of the generator's BLAS, matvecs too, goes through `scipy.linalg.blas`:
-numpy and scipy bundle an OpenBLAS each, and in one epoch each waits for
-the other's thread pool.  On 2 cores at 0.75 V an epoch took 8.2 ms with
-numpy matvecs, 3.2 ms without (medians of 600).
+All of the generator's BLAS, matvecs too, goes through `_blas`, which
+binds numpy's bundled OpenBLAS: with scipy's BLAS in the same epoch, each
+library waited for the other's thread pool (8.2 ms an epoch against
+3.2 ms on 2 cores, medians of 600).  A layer's matvecs and a parameter's
+Adam update bind their matrix, moments and blocks once
+(`GeneratorNet._layer`, `_plan`), so a call hands C only its new
+vectors; checking and passing every array anew cost 12% of the epoch
+rate.
 
 The generator and Adam run in float32, mixed precision without loss
 scaling (Micikevicius et al., 2018), but the last layer's pre-activation
@@ -38,7 +42,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import blas
+
+from . import _blas
 
 __all__ = [
     "AdamState",
@@ -96,7 +101,7 @@ class GeneratorNet:
             w = rng.uniform(-bound, bound, size=(fan_out, fan_in)).astype(np.float32)
             self.params.append(Tensor(w))
             self.params.append(Tensor(np.zeros(fan_out, dtype=np.float32)))
-        self._gemv = blas.get_blas_funcs("gemv", dtype=np.float32)
+        self._layers = [None] * len(sizes[1:])  # see _layer
         self._inputs = []   # each layer's input, from the last forward
         self._derivs = []   # each layer's ELU derivative, from the last forward
 
@@ -106,17 +111,14 @@ class GeneratorNet:
         Keeps what ``backward`` needs, so a ``backward`` differentiates
         the last ``forward``.
         """
-        dtype = self.params[0].value.dtype
-        if self._gemv.dtype != dtype:  # the values were cast
-            self._gemv = blas.get_blas_funcs("gemv", dtype=dtype)
-        t = np.array([float(v_scaled)], dtype=dtype)
+        t = np.array([float(v_scaled)], dtype=self.params[0].value.dtype)
         self._inputs, self._derivs = [], []
         last = len(self.params) // 2 - 1
         for i in range(last + 1):
             self._inputs.append(t)
-            # W @ t + b; W.T is Fortran-ordered, so BLAS reads W in place
-            z = self._gemv(1.0, self.params[2 * i].value.T, t, 1.0,
-                           self.params[2 * i + 1].value, trans=1)
+            _, z, matvec, _, _ = self._layer(i)
+            np.copyto(z, self.params[2 * i + 1].value)
+            matvec(t)  # z = W @ t + b
             t, deriv = _elu(z.astype(np.float64) if i == last else z)
             self._derivs.append(deriv)
         return t
@@ -134,7 +136,23 @@ class GeneratorNet:
             w.grad = (g, self._inputs[i])
             b.grad = g
             if i:
-                g = self._gemv(1.0, w.value.T, g)  # W.T @ g
+                _, _, _, g_in, rmatvec = self._layer(i)
+                g_in.fill(0.0)
+                rmatvec(g)  # g_in = W.T @ g
+                g = g_in
+
+    def _layer(self, i: int) -> tuple:
+        """Layer i's products with its W bound once: (W, z and the update
+        z += W @ t, the update's input gradient g and g += W.T @ dz).
+        z and g are scratch that no caller keeps.  Made again when W is
+        replaced, as a cast of the values replaces it."""
+        layer = self._layers[i]
+        w = self.params[2 * i].value
+        if layer is None or layer[0] is not w:
+            blas = _blas.routines()
+            z, g = np.empty(w.shape[0], w.dtype), np.empty(w.shape[1], w.dtype)
+            layer = self._layers[i] = (w, z, blas.gemv_into(w, z), g, blas.gemv_into(w, g, trans=True))
+        return layer
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +175,7 @@ ADAM_BLOCK = 65536
 
 
 class AdamState:
-    """Adam moments, learning rate, scratch and each parameter's BLAS routines.
+    """Adam moments, learning rate, scratch and each parameter's dtype.
 
     ``m`` and ``v`` hold the scaled moments; the true ones are
     ``m[i] * m_scale`` and ``v[i] * v_scale``.  A scale stays at or above
@@ -176,33 +194,55 @@ class AdamState:
         self.v = [np.zeros_like(p.value) for p in params]
         self.m_scale = 1.0
         self.v_scale = 1.0
-        self._blas = [blas.get_blas_funcs(("ger", "axpy"), dtype=p.value.dtype) for p in params]
+        self._dtypes = [p.value.dtype for p in params]
+        self._plans = [None] * len(params)
         size = min(max((p.value.size for p in params), default=0), ADAM_BLOCK)
         self._scratch = np.empty(size, np.result_type(np.float32, *(p.value.dtype for p in params)))
 
 
-def _factors(p, m, v, grad, dtype):
+def _factors(p, grad, dtype):
     """A gradient's factors (g, x).  Raises ValueError unless it is a factor
-    pair or 1-D and the parameter and moments are C-contiguous ``dtype``
-    arrays, which BLAS updates in place rather than in a silent copy."""
+    pair or 1-D."""
     pair = isinstance(grad, tuple)
     g, x = (np.asarray(a, dtype) for a in (grad if pair else (grad, (1.0,))))
     if g.ndim != 1 or x.ndim != 1 or ((g.size, x.size) if pair else g.shape) != p.shape:
         raise ValueError(f"gradient {g.shape}{f' x {x.shape}' if pair else ''} for a parameter "
                          f"{p.shape}: a weight's is its factor pair (g, x), any other 1-D")
+    return g, x
+
+
+def _plan(p, m, v, dtype, scratch):
+    """A parameter's update with its operands bound once: (p, m, v, the
+    ``ger`` of m and of v, and per block of ADAM_BLOCK elements its m and
+    v, the scratch and the ``axpy`` into p).  Bound to these very arrays;
+    `adam_step` makes a new plan when any of them is replaced.  Raises
+    ValueError unless all three are C-contiguous ``dtype`` arrays, which
+    BLAS updates in place rather than in a silent copy."""
     if any(a.dtype != dtype or not a.flags.c_contiguous for a in (p, m, v)):
         raise ValueError(f"Adam updates C-contiguous {dtype} parameters and moments in place")
-    return g, x
+    blas = _blas.routines()
+    blocks = []
+    for lo in range(0, p.size, ADAM_BLOCK):
+        pb = p.reshape(-1)[lo:lo + ADAM_BLOCK]
+        s = scratch[:pb.size]
+        blocks.append((m.reshape(-1)[lo:lo + ADAM_BLOCK], v.reshape(-1)[lo:lo + ADAM_BLOCK], s,
+                       blas.axpy_into(s, pb)))
+    # a bias is the one-column matrix of its (g, [1]) pair
+    return (p, m, v, blas.ger_into(m.reshape(len(m), -1)), blas.ger_into(v.reshape(len(v), -1)), blocks)
 
 
 def adam_step(state: AdamState, params, grads) -> None:
     """One Adam update with bias correction, in place on ``params``.  Every
-    gradient, a factor pair or 1-D in any float dtype, is checked before
-    any parameter is updated."""
+    gradient, a factor pair or 1-D in any float dtype, and every operand
+    is checked before any parameter is updated."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("params/grads/state length mismatch")
-    factors = [_factors(p.value, m, v, grad, ger.dtype)
-               for p, m, v, grad, (ger, _) in zip(params, state.m, state.v, grads, state._blas)]
+    updates = []
+    for i, (p, m, v, grad, dtype) in enumerate(zip(params, state.m, state.v, grads, state._dtypes)):
+        plan = state._plans[i]
+        if plan is None or plan[0] is not p.value or plan[1] is not m or plan[2] is not v:
+            plan = state._plans[i] = _plan(p.value, m, v, dtype, state._scratch)
+        updates.append((plan, _factors(p.value, grad, dtype)))
     if state.m_scale < ADAM_MIN_SCALE:
         for m in state.m:
             np.multiply(m, state.m_scale, out=m)
@@ -220,18 +260,14 @@ def adam_step(state: AdamState, params, grads) -> None:
     step = state.lr * c / (1.0 - b1**state.step_count) * state.m_scale / root_v
     eps = ADAM_EPS * c / root_v
     m_alpha, v_alpha = (1.0 - b1) / state.m_scale, (1.0 - b2) / state.v_scale
-    for p, m, v, (g, x), (ger, axpy) in zip(params, state.m, state.v, factors, state._blas):
-        p, m, v = p.value.reshape(-1), m.reshape(-1), v.reshape(-1)
-        # the moments' transposes are the (x, g) Fortran matrices ger updates
-        ger(m_alpha, x, g, a=m.reshape(g.size, x.size).T, overwrite_a=True)
-        ger(v_alpha, x * x, g * g, a=v.reshape(g.size, x.size).T, overwrite_a=True)
-        for lo in range(0, p.size, ADAM_BLOCK):
-            pb, mb, vb = p[lo:lo + ADAM_BLOCK], m[lo:lo + ADAM_BLOCK], v[lo:lo + ADAM_BLOCK]
-            s = state._scratch[:pb.size]
+    for (_, _, _, ger_m, ger_v, blocks), (g, x) in updates:
+        ger_m(m_alpha, g, x)
+        ger_v(v_alpha, g * g, x * x)
+        for mb, vb, s, axpy in blocks:
             np.sqrt(vb, out=s)
             np.add(s, eps, out=s)
             np.divide(mb, s, out=s)
-            axpy(s, pb, a=-step)
+            axpy(-step)
 
 
 class PlateauScheduler:

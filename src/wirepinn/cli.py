@@ -18,7 +18,8 @@ whatever the core count or ``OPENBLAS_NUM_THREADS``, because BLAS runs
 on one thread (``_blas``).
 
 Exit codes: 0 ok, 1 configuration error, 2 oracle failure, 3 solver
-divergence.
+divergence, 4 a ``solve`` worker process died; no bias of that
+``solve`` is written then, not even those already finished.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_ORACLE = 2
 EXIT_DIVERGED = 3
+EXIT_WORKER_DIED = 4
 
 
 def _device_config(args) -> DeviceConfig:
@@ -298,6 +300,9 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"oracle failure: {exc}", file=sys.stderr)
         return EXIT_ORACLE
+    except pinn.WorkerDiedError as exc:
+        print(f"worker failure: {exc}", file=sys.stderr)
+        return EXIT_WORKER_DIED
 
 
 if __name__ == "__main__":

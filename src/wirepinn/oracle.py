@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import _blas, fermi
 from .mesh import (
@@ -146,28 +145,23 @@ def _initial_guess(mesh: TensorMesh, bc: np.ndarray, v_gate: float, phi_bi: floa
     return phi
 
 
-# LAPACK's banded LU solve for float64, looked up once.
-(_GBSV,) = lapack.get_lapack_funcs(("gbsv",))
-
-
 def solve_banded(ab: np.ndarray, b: np.ndarray, lu: np.ndarray) -> np.ndarray:
     """Solve J x = b for a J with l = u = (len(ab) - 1) // 2 sub- and
     superdiagonals, stored as ab[u + i - j, j] = J[i, j].
 
-    ``lu`` is gbsv's (3u + 1, n) work array, F-contiguous so that gbsv
-    works in it rather than in a silent copy: ab is copied into its rows
-    u:, and the factorization overwrites ``lu``.  The solution overwrites
-    ``b`` where f2py can pass it without a copy.  Raises ValueError for a
-    ``lu`` that is not F-contiguous and LinAlgError if J is singular.
+    ``lu`` is LAPACK gbsv's (3u + 1, n) work array, F-contiguous float64:
+    ab is copied into its rows u:, and the factorization overwrites it.
+    The solution overwrites ``b``, a contiguous float64 vector, and is
+    returned.  Raises ValueError for any other ``lu`` or ``b``, before
+    LAPACK runs, and LinAlgError if J is singular.
     """
     if not lu.flags.f_contiguous:
         raise ValueError("solve_banded factorizes in an F-contiguous lu work array")
     u = (len(ab) - 1) // 2
     lu[u:] = ab
-    _, _, x, info = _GBSV(u, u, lu, b, overwrite_ab=True, overwrite_b=True)
-    if info > 0:
+    if _blas.routines().gbsv(u, u, lu, b) > 0:
         raise np.linalg.LinAlgError("singular matrix")
-    return x
+    return b
 
 
 def _newton(mesh: TensorMesh, coeffs: FvCoefficients, params: fermi.SemiconductorParams,

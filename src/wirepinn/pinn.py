@@ -44,6 +44,7 @@ __all__ = [
     "PinnProblem",
     "PinnResult",
     "SolveOptions",
+    "WorkerDiedError",
     "best_losses_within",
     "evaluate_against",
     "gate_voltage",
@@ -78,6 +79,15 @@ class DivergedError(RuntimeError):
         # an exception pickles as its class and ``args`` (the message
         # alone), which could not rebuild the step and history
         return type(self), (self.args[0], self.step, self.history)
+
+
+class WorkerDiedError(RuntimeError):
+    """A `sweep_solve` worker process ended without a result (killed, or
+    out of memory); ``v_gate`` is the bias it was solving."""
+
+    def __init__(self, message: str, v_gate: float):
+        super().__init__(message)
+        self.v_gate = v_gate
 
 
 @dataclass
@@ -345,11 +355,11 @@ def sweep_solve(problem: PinnProblem, biases, opts: SolveOptions) -> list:
     the loss diverged, the ``DivergedError`` itself, which keeps the step
     and the partial loss history; the rest of the sweep continues past a
     divergence.  Every bias is checked against the solvable range before
-    any is trained.  A worker that dies raises a RuntimeError naming the
-    bias it was solving.  ``solve_bias`` runs BLAS on one thread, so each
-    result is bitwise equal to ``solve_bias`` at the same bias and
-    options wherever it ran, whatever the other biases and the thread
-    count.  A worker's log records are logged here, so ``log_every``
+    any is trained.  A worker that dies raises a WorkerDiedError naming
+    the bias it was solving, and the results already finished are lost.
+    ``solve_bias`` runs BLAS on one thread, so each result is bitwise
+    equal to ``solve_bias`` at the same bias and options wherever it ran,
+    whatever the other biases and the thread count.  A worker's log records are logged here, so ``log_every``
     progress shows for every bias.  This only solves; it never scores
     against an oracle (see ``evaluate_against``).
     """
@@ -427,8 +437,9 @@ def _pooled(problem: PinnProblem, biases: list, opts: SolveOptions, n_workers: i
                     kind, payload = conn.recv()
                 except EOFError:
                     workers[conn].join(timeout=10.0)
-                    raise RuntimeError(f"the worker solving V_G={biases[running[conn]]:g} died "
-                                       f"(exit code {workers[conn].exitcode})") from None
+                    v_gate = biases[running[conn]]
+                    raise WorkerDiedError(f"the worker solving V_G={v_gate:g} died "
+                                          f"(exit code {workers[conn].exitcode})", v_gate) from None
                 if kind == "log":
                     logging.getLogger(payload.name).handle(payload)
                 else:

@@ -14,7 +14,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, svd
 
 from . import _blas
 
@@ -104,10 +103,9 @@ def fit(snapshots, mesh_fingerprint: str) -> LinearSurrogate:
     names the snapshots' mesh; a solver refuses the model on any other.
     Raises ValueError on empty input or mismatched field lengths.
 
-    The SVD and the products run on scipy's OpenBLAS, as the generator's
-    do: a fit on numpy's leaves that pool spinning into the next solve,
-    which then waits for it (see `autodiff`'s docstring).  They run on
-    one thread (`_blas`): the SVD of a 40 x 2193 matrix is faster so.
+    The SVD and the products are numpy's, on the OpenBLAS that runs all
+    of wirepinn's BLAS (`_blas`), on one thread: the SVD of a 40 x 2193
+    matrix is faster so.
     """
     if len(snapshots) == 0:
         raise ValueError("cannot fit a surrogate on zero snapshots")
@@ -124,16 +122,12 @@ def fit(snapshots, mesh_fingerprint: str) -> LinearSurrogate:
     x_mean = x.mean(axis=0)
     y_mean = y.mean(axis=0)
 
-    u, s, vt = svd(x - x_mean, full_matrices=False)
+    u, s, vt = np.linalg.svd(x - x_mean, full_matrices=False)
     keep = s > RCOND * s[0]  # none kept when s[0] == 0
     logger.info("surrogate fit: %d snapshots, rank %d kept of %d", len(snapshots), keep.sum(), len(s))
-    # The Fortran calls numpy's `@` makes on these C-ordered operands, so the
-    # bits are numpy's: Yc^T U as (U^T Yc)^T, and A v as a transposed A.T v.
-    left = blas.dgemm(1.0, u[:, keep].T, (y - y_mean).T, trans_b=1).T / s[keep]
+    left = (y - y_mean).T @ u[:, keep] / s[keep]
     right = vt[keep]
-    intercept = y_mean
-    if keep.any():  # rank 0 is the intercept alone, and dgemv refuses an empty result
-        intercept = y_mean - blas.dgemv(1.0, left.T, blas.dgemv(1.0, right.T, x_mean, trans=1), trans=1)
+    intercept = y_mean - left @ (right @ x_mean)
 
     biases = [float(s.v_gate) for s in snapshots]
     meta = SurrogateMeta(

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from wirepinn import dataset_io as dio, pinn, surrogate
+from wirepinn import _blas, dataset_io as dio, pinn, surrogate
 from wirepinn.cli import main
 from wirepinn.mesh import build_device_mesh, load_device_config, nearest_node
 
@@ -284,6 +284,19 @@ class TestSolveAndSweep:
         probe = (out / "probe_trace.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in probe[1:]] == ["0.15", "0.6"]
 
+    def test_dead_worker_exits_4_on_one_line(self, workdir, tmp_path, capsys, monkeypatch):
+        def dies(problem, biases, opts):
+            raise pinn.WorkerDiedError("the worker solving V_G=0.3 died (exit code -9)", 0.3)
+
+        monkeypatch.setattr(pinn, "sweep_solve", dies)
+        out = tmp_path / "died"
+        rc = main(["solve", "--config", str(workdir["cfg"]), "--surrogate", str(workdir["surrogate"]),
+                   "--vg", "0.15,0.3", "--epochs", "20", "--out", str(out)])
+        assert rc == 4
+        captured = capsys.readouterr()
+        assert captured.err == "worker failure: the worker solving V_G=0.3 died (exit code -9)\n"
+        assert list(out.iterdir()) == []  # finished biases are not written either
+
     def test_bits_ignore_blas_threads(self, oracle_sweep, lr_surrogate, default_mesh, tmp_path, capsys):
         # A pooled two-bias solve in fresh processes, whatever OPENBLAS_NUM_THREADS
         # says, writes what each bias's solo solve writes.  The canonical device:
@@ -342,19 +355,29 @@ class TestSolveInput:
         assert calls == [] and not out.exists()
 
 
-def test_cli_loads_no_scipy_solver_or_quadrature():
-    # importing the CLI and generate's one root find, the contact potential,
-    # stay off scipy.optimize and scipy.integrate, which every command
-    # would otherwise pay to import
-    code = ("import sys, wirepinn.cli\n"
-            "from wirepinn import fermi, mesh, oracle\n"
-            "oracle.built_in_potential(mesh.build_device_mesh(), fermi.default_params())\n"
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))\n")
+def test_cli_loads_no_scipy_solver_or_quadrature(tmp_path):
+    # generate, fit-lr and a solve run all of their BLAS and LAPACK on
+    # numpy's bundled OpenBLAS (`_blas`) and find the contact potential
+    # without scipy.optimize, so no command loads any part of scipy
+    if _blas._bundled() is None:
+        pytest.skip("this numpy does not bundle the wheels' OpenBLAS; BLAS runs on scipy.linalg")
+    cfg = tmp_path / "device.cfg"
+    cfg.write_text(SMALL_CFG)
+    sweep, model = str(tmp_path / "sweep.wpnn"), str(tmp_path / "surrogate.wpnn")
+    commands = [["generate", "--config", str(cfg), "--out", sweep],
+                ["fit-lr", "--config", str(cfg), "--sweep", sweep, "--out", model],
+                ["solve", "--config", str(cfg), "--surrogate", model, "--sweep", sweep,
+                 "--vg", "0.75", "--epochs", "20", "--out", str(tmp_path / "solve")]]
+    code = ("import sys\n"
+            "from wirepinn.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_missing_surrogate_file(tmp_path, capsys):

@@ -14,6 +14,7 @@ from wirepinn.pinn import (
     DivergedError,
     PinnProblem,
     SolveOptions,
+    WorkerDiedError,
     evaluate_against,
     gate_voltage,
     postprocess,
@@ -357,7 +358,7 @@ class TestSweepSolve:
         def sweep():
             try:
                 sweep_solve(problem, [0.2, 0.6, 0.3], SolveOptions(epochs=2000, seed=9))
-            except RuntimeError as exc:
+            except WorkerDiedError as exc:
                 raised.append(exc)
 
         runner = threading.Thread(target=sweep, daemon=True)
@@ -366,6 +367,7 @@ class TestSweepSolve:
         assert not runner.is_alive(), "sweep_solve hung on a dead worker"
         assert len(raised) == 1
         assert str(raised[0]) == "the worker solving V_G=0.6 died (exit code 70)"
+        assert raised[0].v_gate == 0.6
 
     def test_worker_progress_is_logged(self, small_problem, two_workers, caplog):
         with caplog.at_level("INFO", logger="wirepinn.pinn"):
