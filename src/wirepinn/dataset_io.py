@@ -7,7 +7,9 @@ sweep, each solve's prediction and fit-lr's predicted-vs-oracle scatter
 reports, loss histories and CSV figure data, each value as its ``str``
 (one ``%`` per chunk of rows), so floats read back value-exact.  Every
 file is written atomically (temp file + rename): readers never observe
-partial output, and write/read cycles compare bitwise.
+partial output, and write/read cycles compare bitwise.  A container
+array is written from its own buffer and read straight into a new one,
+so no field is ever copied into a byte string on either path.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ def _node_columns(mesh: TensorMesh) -> list:
 
 
 def _atomic_write(path, chunks) -> None:
-    """Write the byte strings of ``chunks``, in order, as the file ``path``."""
+    """Write the bytes-like objects of ``chunks``, in order, as the file ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     # os.open applies the umask to 0o666, as open(path, "w") does;
@@ -165,11 +167,11 @@ def _write_container(path, kind: str, arrays, meta: dict) -> None:
     blob.append(meta_raw)
     blob.append(struct.pack("<I", len(arrays)))
     for name, arr in arrays:
-        arr = np.asarray(arr, dtype="<f8")  # 0-d stays 0-d; tobytes() is C order
+        arr = np.asarray(arr, dtype="<f8", order="C")  # 0-d stays 0-d
         blob.append(_pack_str(name))
         blob.append(struct.pack("<B", arr.ndim))
         blob.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        blob.append(arr.tobytes())
+        blob.append(arr.data)  # the array's own buffer, no copy; an empty one writes nothing
     _atomic_write(path, blob)
 
 

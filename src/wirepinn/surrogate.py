@@ -121,11 +121,13 @@ def fit(snapshots, mesh_fingerprint: str) -> LinearSurrogate:
     y = np.stack([s.phi for s in snapshots])                   # (k, n)
     x_mean = x.mean(axis=0)
     y_mean = y.mean(axis=0)
+    x -= x_mean  # both centred in place
+    y -= y_mean
 
-    u, s, vt = np.linalg.svd(x - x_mean, full_matrices=False)
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
     keep = s > RCOND * s[0]  # none kept when s[0] == 0
     logger.info("surrogate fit: %d snapshots, rank %d kept of %d", len(snapshots), keep.sum(), len(s))
-    left = (y - y_mean).T @ u[:, keep] / s[keep]
+    left = y.T @ u[:, keep] / s[keep]
     right = vt[keep]
     intercept = y_mean - left @ (right @ x_mean)
 
@@ -160,15 +162,29 @@ def scatter_stats(surrogate: LinearSurrogate, dataset, gate_nodes=None) -> dict:
     snapshot) and (if gate nodes are given) the error of the mean gate
     potential against each snapshot's bias.
     """
-    preds = np.stack([predict_phi(surrogate, normalize_density(s.n)) for s in dataset.snapshots])
-    truth = np.stack([s.phi for s in dataset.snapshots])
-    resid = preds - truth
-    ss_res = float(np.sum(resid**2))
-    ss_tot = float(np.sum((truth - truth.mean()) ** 2))
+    snaps = dataset.snapshots
+    preds = np.empty((len(snaps), len(surrogate.intercept)))
+    # One sweep-sized scratch holds the truth, then the residual, |residual|
+    # and its square, then (truth - mean) and its square.  Each reduction
+    # sees the values and shape the plain expressions would give it
+    # (|r|**2 == r**2 exactly), so every figure keeps its bits.
+    scratch = np.empty_like(preds)
+    for pred, truth, s in zip(preds, scratch, snaps):
+        pred[...] = predict_phi(surrogate, normalize_density(s.n))
+        truth[...] = s.phi
+    truth_mean = scratch.mean()
+    np.subtract(preds, scratch, out=scratch)
+    np.abs(scratch, out=scratch)
+    max_abs_err = float(scratch.max())
+    per_snapshot_max_err = scratch.max(axis=1)
+    ss_res = float(np.square(scratch, out=scratch).sum())
+    for row, s in zip(scratch, snaps):
+        np.subtract(s.phi, truth_mean, out=row)
+    ss_tot = float(np.square(scratch, out=scratch).sum())
     stats = {
         "r2": 1.0 - ss_res / ss_tot,
-        "max_abs_err": float(np.max(np.abs(resid))),
-        "per_snapshot_max_err": np.max(np.abs(resid), axis=1),
+        "max_abs_err": max_abs_err,
+        "per_snapshot_max_err": per_snapshot_max_err,
         "predictions": preds,
     }
     if gate_nodes is not None:

@@ -1,6 +1,7 @@
 import dataclasses
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,21 @@ def dense_grads():
         return [np.outer(*p.grad) if isinstance(p.grad, tuple) else p.grad.copy()
                 for p in net.params]
     return dense
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    """``traced_peak(call)``: the tracemalloc peak, in bytes, of ``call()``.
+    The call runs once untraced first, so one-time set-up is not counted."""
+    def peak(call):
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak
 
 
 @pytest.fixture()
