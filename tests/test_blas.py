@@ -213,6 +213,36 @@ def test_axpy_refuses(case):
         assert not y.any()
 
 
+def _unaligned(n, writable):
+    """A float64 vector of ones that starts 4 bytes past an 8-byte boundary."""
+    raw = bytes(4) + np.ones(n).tobytes()
+    arr = np.frombuffer(bytearray(raw) if writable else raw, np.float64, n, 4)
+    assert not arr.flags.aligned and arr.flags.writeable == writable
+    return arr
+
+
+@pytest.mark.parametrize("writable", [False, True], ids=["read-only", "writable"])
+def test_unaligned_refused(writable):
+    # a container array may start at any byte offset; ctypes' from_buffer
+    # checks no alignment, so C must never see such an array
+    a, y = np.ones((4, 3)), np.zeros(4)
+    for routines in _backends():
+        with pytest.raises(ValueError, match="aligned"):
+            routines.gemv_into(_unaligned(12, writable).reshape(4, 3), y)(np.ones(3))
+        with pytest.raises(ValueError, match="aligned"):
+            routines.gemv_into(a, y)(_unaligned(3, writable))
+        with pytest.raises(ValueError, match="aligned"):
+            routines.axpy_into(_unaligned(4, writable), y)(1.0)
+        assert not y.any()
+    if writable:
+        x = np.ones(4)
+        for routines in _backends():
+            y = _unaligned(4, True)
+            with pytest.raises(ValueError, match="aligned"):
+                routines.axpy_into(x, y)(1.0)
+            assert np.all(y == 1.0)
+
+
 @pytest.mark.parametrize("case", ["float32", "C-ordered band", "band rows", "short b", "strided b",
                                   "read-only b", "read-only band"])
 def test_gbsv_refuses(case):

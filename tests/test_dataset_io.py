@@ -268,6 +268,50 @@ class TestContainerEncoding:
         assert peak <= 1.1 * field_bytes
 
 
+class TestMappedReads:
+    def test_read_sweep_copies_no_field(self, small_sweep, small_mesh, traced_peak, tmp_path):
+        # phi and n are views of the mapped file, so only the per-snapshot
+        # objects (a Snapshot and two views, about 350 B against 2176 B of
+        # fields on 17x8) are allocated: measured 0.24x the field bytes,
+        # where copying the fields reads 1.24x; the bound leaves 0.06x
+        path = tmp_path / "sweep.wpnn"
+        dio.write_sweep(small_sweep, small_mesh, path)
+        field_bytes = 2 * len(small_sweep) * small_mesh.n_nodes * 8
+        assert traced_peak(lambda: dio.read_sweep(path, small_mesh)) <= 0.3 * field_bytes
+
+    def test_model_arrays_aligned_and_read_only(self, small_surrogate, tmp_path):
+        dio.write_model(small_surrogate, tmp_path / "sur.wpnn")
+        loaded = dio.read_model(tmp_path / "sur.wpnn")
+        for arr in (loaded.left, loaded.right, loaded.intercept):
+            assert arr.flags.aligned and arr.flags.c_contiguous and not arr.flags.writeable
+
+    def test_empty_file_names_it(self, tmp_path):
+        (tmp_path / "empty.wpnn").write_bytes(b"")
+        with pytest.raises(dio.FormatError, match="empty.wpnn: empty file"):
+            dio.read_sweep(tmp_path / "empty.wpnn")
+
+    def test_sweep_survives_replacement(self, small_sweep, small_mesh, tmp_path):
+        # a write replaces the file by rename, so the mapped inode keeps its bytes
+        path = tmp_path / "sweep.wpnn"
+        dio.write_sweep(small_sweep, small_mesh, path)
+        held = dio.read_sweep(path, small_mesh)
+        shifted = SweepDataset(snapshots=[Snapshot(v_gate=s.v_gate, phi=s.phi + 1.0, n=2.0 * s.n)
+                                          for s in small_sweep.snapshots],
+                               mesh_fingerprint=small_sweep.mesh_fingerprint, params=small_sweep.params)
+        dio.write_sweep(shifted, small_mesh, path)
+        for a, b in zip(held.snapshots, small_sweep.snapshots):
+            assert a.phi.tobytes() == b.phi.tobytes() and a.n.tobytes() == b.n.tobytes()
+        assert np.array_equal(dio.read_sweep(path, small_mesh).snapshots[-1].n, shifted.snapshots[-1].n)
+
+    def test_mapped_arrays_write_a_private_copy(self, small_sweep, small_mesh, tmp_path):
+        path = tmp_path / "sweep.wpnn"
+        dio.write_sweep(small_sweep, small_mesh, path)
+        before = path.read_bytes()
+        dio.read_sweep(path, small_mesh).snapshots[0].phi[:] = 7.0
+        assert path.read_bytes() == before
+        assert dio.read_sweep(path, small_mesh).snapshots[0].phi.tobytes() == small_sweep.snapshots[0].phi.tobytes()
+
+
 class TestReports:
     def _report(self, mesh):
         n = mesh.n_nodes
