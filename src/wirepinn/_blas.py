@@ -1,12 +1,12 @@
 """The one door to BLAS and LAPACK, and one OpenBLAS thread for a call.
 
-wirepinn calls four routines of its own: ``?gemv``, ``?ger`` and ``?axpy``
-(float32 and float64) for the generator and Adam, and ``dgbsv`` for the
-oracle's Newton step; the surrogate fit's SVD and products are numpy's
-(``np.linalg.svd``, ``@``).  `routines()` binds the four, at first use,
-through ctypes to the OpenBLAS that numpy's wheel bundles
-(``numpy.libs/libscipy_openblas64_*.so``, 64-bit integers): the CBLAS
-symbols for the BLAS routines and LAPACK's Fortran ``dgbsv`` (its
+wirepinn calls three routines of its own: ``?ger`` and ``?axpy`` (float32
+and float64) for Adam, and ``dgbsv`` for the oracle's Newton step; the
+generator's matvecs and the surrogate fit's SVD and products are numpy's
+(``@``, ``np.linalg.svd``) on the same library.  `routines()` binds the
+three, at first use, through ctypes to the OpenBLAS that numpy's wheel
+bundles (``numpy.libs/libscipy_openblas64_*.so``, 64-bit integers): the
+CBLAS symbols for the BLAS routines and LAPACK's Fortran ``dgbsv`` (its
 LAPACKE wrapper checks its input, and took 15% longer per call).  So every
 BLAS and LAPACK call runs on the one library numpy loads anyway, and no
 command imports ``scipy.linalg``.  ctypes checks nothing, so each routine
@@ -14,6 +14,7 @@ checks dtypes, contiguity and sizes and raises ValueError before it
 calls C.  A numpy without that library, or without one of its symbols
 (built on Accelerate or MKL, say), gets ``scipy.linalg``'s routines
 instead, with one warning; on the same OpenBLAS they give the same bits.
+numpy's ``@`` runs on numpy's own BLAS either way.
 
 The thread count of an OpenBLAS sets the summation order of a product,
 and with it the last bits of every solve; two processes that each run
@@ -41,7 +42,7 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 # CBLAS enumerations
-_ROW_MAJOR, _NO_TRANS, _TRANS = ctypes.c_int(101), ctypes.c_int(111), ctypes.c_int(112)
+_ROW_MAJOR = ctypes.c_int(101)
 _ONE = ctypes.c_int64(1)
 # a scalar argument of the float32 (char "f") and float64 ("d") routines
 _SCALAR = {"f": ctypes.c_float, "d": ctypes.c_double}
@@ -94,18 +95,6 @@ def _kind(a, *others) -> str:
     return kind
 
 
-def _check_gemv(a, y, trans) -> tuple:
-    """(dtype, shape of x) of ``y += a @ x``."""
-    kind = _kind(a, y)
-    if a.ndim != 2 or y.shape != a.shape[1 if trans else 0:][:1]:
-        raise ValueError(f"gemv of a {a.shape}{'.T' if trans else ''} matrix into y {y.shape}")
-    return kind, a.shape[0 if trans else 1:][:1]
-
-
-def _refuse_vector(kind, shape, x):
-    raise ValueError(f"gemv takes x of shape {shape} and dtype {np.dtype(kind)}, not {x.shape} {x.dtype}")
-
-
 def _check_matrix(a) -> str:
     kind = _kind(a)
     if a.ndim != 2:
@@ -138,31 +127,16 @@ def _check_gbsv(kl, ku, ab, b) -> None:
 class _Bundled:
     """The routines of numpy's bundled OpenBLAS.  Each array operand is
     checked and passed as a pointer; an operand a routine binds once
-    (`gemv_into`, `ger_into`, `axpy_into`) keeps its pointer and sizes
-    for every call."""
+    (`ger_into`, `axpy_into`) keeps its pointer and sizes for every
+    call."""
 
     def __init__(self, lib):
         # a missing symbol raises AttributeError here
-        self._gemv = {"f": lib.scipy_cblas_sgemv64_, "d": lib.scipy_cblas_dgemv64_}
         self._ger = {"f": lib.scipy_cblas_sger64_, "d": lib.scipy_cblas_dger64_}
         self._axpy = {"f": lib.scipy_cblas_saxpy64_, "d": lib.scipy_cblas_daxpy64_}
         self._dgbsv = lib.scipy_dgbsv_64_
-        for f in (*self._gemv.values(), *self._ger.values(), *self._axpy.values(), self._dgbsv):
+        for f in (*self._ger.values(), *self._axpy.values(), self._dgbsv):
             f.restype = None  # every argument is passed as a ctypes object
-
-    def gemv_into(self, a, y, trans=False):
-        """``update(x)``, which does ``y += a @ x`` (``a.T @ x`` with
-        ``trans``) in place; ``a`` is a C-contiguous matrix."""
-        kind, shape = _check_gemv(a, y, trans)
-        f, one, pa, py = self._gemv[kind], _SCALAR[kind](1.0), _pointer(a), _pointer(y, True)
-        rows, cols = ctypes.c_int64(a.shape[0]), ctypes.c_int64(a.shape[1])
-        order = _TRANS if trans else _NO_TRANS
-
-        def update(x):
-            if x.shape != shape or x.dtype.char != kind:
-                _refuse_vector(kind, shape, x)
-            f(_ROW_MAJOR, order, rows, cols, one, pa, cols, _pointer(x), _ONE, one, py, _ONE)
-        return update
 
     def ger_into(self, a):
         """``update(alpha, x, y)``, which does ``a += alpha * outer(x, y)``
@@ -206,23 +180,9 @@ class _SciPy:
     def __init__(self):
         from scipy.linalg import blas, lapack
 
-        self._gemv = {k: blas.get_blas_funcs("gemv", dtype=k) for k in "fd"}
         self._ger = {k: blas.get_blas_funcs("ger", dtype=k) for k in "fd"}
         self._axpy = {k: blas.get_blas_funcs("axpy", dtype=k) for k in "fd"}
         self._dgbsv = lapack.dgbsv
-
-    def gemv_into(self, a, y, trans=False):
-        kind, shape = _check_gemv(a, y, trans)
-        _pointer(a), _pointer(y, True)
-        # a.T is the Fortran matrix f2py passes in place
-        f, trans = self._gemv[kind], 0 if trans else 1
-
-        def update(x):
-            if x.shape != shape or x.dtype.char != kind:
-                _refuse_vector(kind, shape, x)
-            _pointer(x)
-            f(1.0, a.T, x, 1.0, y, trans=trans, overwrite_y=True)
-        return update
 
     def ger_into(self, a):
         kind = _check_matrix(a)

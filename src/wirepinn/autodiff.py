@@ -19,14 +19,20 @@ each of the four passes streams them from L3; a block of p, m, v and the
 scratch stays in L2 between them.  The passes are elementwise, so the
 blocking changes no bit.  Blocking the ``ger`` calls too was slower.
 
-All of the generator's BLAS, matvecs too, goes through `_blas`, which
-binds numpy's bundled OpenBLAS: with scipy's BLAS in the same epoch, each
-library waited for the other's thread pool (8.2 ms an epoch against
-3.2 ms on 2 cores, medians of 600).  A layer's matvecs and a parameter's
-Adam update bind their matrix, moments and blocks once
-(`GeneratorNet._layer`, `_plan`), so a call hands C only its new
-vectors; checking and passing every array anew cost 12% of the epoch
-rate.
+The generator's matvecs are numpy's ``@`` and Adam's updates go through
+`_blas`, both on numpy's bundled OpenBLAS: with scipy's BLAS in the same
+epoch, each library waited for the other's thread pool (8.2 ms an epoch
+against 3.2 ms on 2 cores, medians of 600).  A parameter's Adam update
+binds its moments and blocks once (`_plan`), so a call hands C only its
+new vectors; checking and passing every array anew cost 12% of the epoch
+rate.  The first layer's input is one scalar t, so its matvec is
+elementwise, and OpenBLAS's matrix-vector kernel rounds each w·t + b once,
+as a fused multiply-add.  A product of two float32 values is exact in
+float64, so `GeneratorNet.forward` computes the layer in float64 and casts
+it once to float32, which gives that kernel's bits: only a float64 sum
+that lands on a float32 rounding midpoint, about 2^-29 of them, could
+round apart.  In float32 the product rounds before the sum, and missed
+the kernel's bits in nearly every call.
 
 The generator and Adam run in float32, mixed precision without loss
 scaling (Micikevicius et al., 2018), but the last layer's pre-activation
@@ -112,7 +118,6 @@ class GeneratorNet:
                 block[...] = rng.uniform(-bound, bound, size=block.shape)
             self.params.append(Tensor(w))
             self.params.append(Tensor(np.zeros(fan_out, dtype=np.float32)))
-        self._layers = [None] * len(sizes[1:])  # see _layer
         self._inputs = []   # each layer's input, from the last forward
         self._derivs = []   # each layer's ELU derivative, from the last forward
 
@@ -127,9 +132,13 @@ class GeneratorNet:
         last = len(self.params) // 2 - 1
         for i in range(last + 1):
             self._inputs.append(t)
-            _, z, matvec, _, _ = self._layer(i)
-            np.copyto(z, self.params[2 * i + 1].value)
-            matvec(t)  # z = W @ t + b
+            w, b = self.params[2 * i].value, self.params[2 * i + 1].value
+            if i == 0:
+                # one scalar input: w·t + b rounded once (module docstring)
+                z = (w[:, 0].astype(np.float64) * float(t[0]) + b).astype(w.dtype)
+            else:
+                z = w @ t
+                z += b
             t, deriv = _elu(z.astype(np.float64) if i == last else z)
             self._derivs.append(deriv)
         return t
@@ -147,23 +156,7 @@ class GeneratorNet:
             w.grad = (g, self._inputs[i])
             b.grad = g
             if i:
-                _, _, _, g_in, rmatvec = self._layer(i)
-                g_in.fill(0.0)
-                rmatvec(g)  # g_in = W.T @ g
-                g = g_in
-
-    def _layer(self, i: int) -> tuple:
-        """Layer i's products with its W bound once: (W, z and the update
-        z += W @ t, the update's input gradient g and g += W.T @ dz).
-        z and g are scratch that no caller keeps.  Made again when W is
-        replaced, as a cast of the values replaces it."""
-        layer = self._layers[i]
-        w = self.params[2 * i].value
-        if layer is None or layer[0] is not w:
-            blas = _blas.routines()
-            z, g = np.empty(w.shape[0], w.dtype), np.empty(w.shape[1], w.dtype)
-            layer = self._layers[i] = (w, z, blas.gemv_into(w, z), g, blas.gemv_into(w, g, trans=True))
-        return layer
+                g = w.value.T @ g
 
 
 # ---------------------------------------------------------------------------

@@ -166,17 +166,22 @@ class _Reader:
 
 
 def _write_container(path, kind: str, arrays, meta: dict) -> None:
+    """Write ``arrays``, (name, array) pairs, and ``meta`` as a container.
+    A list of equal-shape arrays is written as their stack, each from its
+    own buffer, so no stacked copy is made."""
     blob = [MODEL_MAGIC, struct.pack("<I", MODEL_VERSION), _pack_str(kind)]
     meta_raw = json.dumps(meta, sort_keys=True).encode()
     blob.append(struct.pack("<I", len(meta_raw)))
     blob.append(meta_raw)
     blob.append(struct.pack("<I", len(arrays)))
     for name, arr in arrays:
-        arr = np.asarray(arr, dtype="<f8", order="C")  # 0-d stays 0-d
+        stacked = isinstance(arr, list)
+        parts = [np.asarray(a, dtype="<f8", order="C") for a in (arr if stacked else [arr])]
+        shape = (len(parts), *parts[0].shape) if stacked else parts[0].shape  # 0-d stays 0-d
         blob.append(_pack_str(name))
-        blob.append(struct.pack("<B", arr.ndim))
-        blob.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        blob.append(arr.data)  # the array's own buffer, no copy; an empty one writes nothing
+        blob.append(struct.pack("<B", len(shape)))
+        blob.append(struct.pack(f"<{len(shape)}I", *shape))
+        blob.extend(parts)  # written from their own buffers; an empty one writes nothing
     _atomic_write(path, blob)
 
 
@@ -251,14 +256,15 @@ def write_sweep(dataset: SweepDataset, mesh: TensorMesh, path) -> None:
     if not dataset.snapshots:
         raise ValueError("a sweep needs at least one snapshot")
     snaps, p = dataset.snapshots, dataset.params
-    shape = (len(snaps), mesh.n_nodes)
+    if any(s.phi.shape != (mesh.n_nodes,) or s.n.shape != (mesh.n_nodes,) for s in snaps):
+        raise ValueError(f"a snapshot's phi or n does not hold one value per node ({mesh.n_nodes})")
     arrays = [
         ("biases", dataset.biases),
-        ("phi", np.reshape([s.phi for s in snaps], shape)),
-        ("n", np.reshape([s.n for s in snaps], shape)),
-        ("converged", [s.converged for s in snaps]),
-        ("residual_norm", [s.residual_norm for s in snaps]),
-        ("iterations", [s.newton_iterations for s in snaps]),
+        ("phi", [s.phi for s in snaps]),
+        ("n", [s.n for s in snaps]),
+        ("converged", np.array([s.converged for s in snaps], float)),
+        ("residual_norm", np.array([s.residual_norm for s in snaps])),
+        ("iterations", np.array([s.newton_iterations for s in snaps], float)),
     ]
     meta = {"mesh_fingerprint": dataset.mesh_fingerprint, "n_c": p.n_c, "v_t": p.v_t, "phi_ref": p.phi_ref}
     _write_container(path, "sweep", arrays, meta)

@@ -164,8 +164,7 @@ def solve_banded(ab: np.ndarray, b: np.ndarray, lu: np.ndarray) -> np.ndarray:
     return b
 
 
-def _newton(mesh: TensorMesh, coeffs: FvCoefficients, params: fermi.SemiconductorParams,
-            zero_charge: bool):
+def _newton(mesh: TensorMesh, coeffs: FvCoefficients, params: fermi.SemiconductorParams):
     """The set-up of solve_equilibrium that does not depend on the bias: the
     Dirichlet and silicon masks, the built-in potential, the tolerance, the
     banded Jacobian's fixed off-diagonals and the LU work array.  Returns
@@ -178,10 +177,9 @@ def _newton(mesh: TensorMesh, coeffs: FvCoefficients, params: fermi.Semiconducto
 
     bc_mask = mesh.dirichlet_mask()
     free = ~bc_mask
-    phi_bi = 0.0 if zero_charge else built_in_potential(mesh, params)
-    # no silicon means no carriers: the closure returns zeros for n and dn
-    si = np.zeros(n_nodes, dtype=bool) if zero_charge else mesh.silicon_mask()
-    doping = np.zeros(n_nodes) if zero_charge else mesh.net_doping
+    phi_bi = built_in_potential(mesh, params)
+    si = mesh.silicon_mask()
+    doping = mesh.net_doping
     q_vol = Q_COULOMB * coeffs.volume
     gx, gy = coeffs.gx, coeffs.gy
 
@@ -278,8 +276,6 @@ def solve_equilibrium(
     params: fermi.SemiconductorParams,
     v_gate: float,
     phi0: np.ndarray | None = None,
-    *,
-    zero_charge: bool = False,
 ) -> Snapshot:
     """Damped Newton solve of the equilibrium Poisson system at one bias.
 
@@ -289,13 +285,11 @@ def solve_equilibrium(
     non-Dirichlet nodes.  Newton updates are clamped to
     +-DAMPING_CLAMP_VT * V_T per node.  Each iteration evaluates the
     closure once: its n enters the residual, its dn/dphi the Jacobian's
-    diagonal.  ``zero_charge`` drops doping and carriers and grounds the
-    contacts, leaving a Laplace problem whose exact solution at V_G = 0
-    is zero.
+    diagonal.
     Raises ConvergenceError on stagnation, a non-finite residual or a
     singular linear system.
     """
-    return _newton(mesh, coeffs, params, zero_charge)(v_gate, phi0)
+    return _newton(mesh, coeffs, params)(v_gate, phi0)
 
 
 @_blas.one_thread()
@@ -329,7 +323,7 @@ def ramp_sweep(
     n_steps = math.floor((v_end - v_start) / step + 1e-9)
     biases = v_start + step * np.arange(n_steps + 1)
 
-    solve = _newton(mesh, assemble_fv_coefficients(mesh), params, zero_charge=False)
+    solve = _newton(mesh, assemble_fv_coefficients(mesh), params)
     snapshots = []
     for k, v in enumerate(biases):
         if k >= 2:

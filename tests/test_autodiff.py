@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.blas import sgemv
 
+from wirepinn import _blas
 from wirepinn import autodiff as ad
 from wirepinn import fermi, surrogate
 from wirepinn.pinn import PinnProblem, SolveOptions
@@ -288,6 +290,37 @@ class TestGeneratorNet:
         # bound leaves 0.07x
         param_bytes = 4 * sum(fan_in * fan_out + fan_out for fan_in, fan_out in ((1, 64), (64, 256), (256, 2193)))
         assert traced_peak(lambda: ad.GeneratorNet(n_out=2193, seed=0)) <= 1.1 * param_bytes
+
+    @pytest.mark.parametrize("n_out", [2193, 136])  # the canonical and the 17x8 mesh
+    def test_passes_give_gemvs_bits(self, n_out):
+        # forward and backward against scipy's sgemv and _elu: W.T is the
+        # Fortran view of W's own memory, so trans=1 gives W @ t + b and
+        # trans=0 W.T @ g, the kernels numpy's @ calls on W and W.T.  The
+        # first layer's one-column product is the one a float32 w * t + b
+        # misses.
+        rng = np.random.default_rng(n_out)
+        net = ad.GeneratorNet(n_out=n_out, seed=5)
+        ws = [w.value for w in net.params[::2]]
+        for b in net.params[1::2]:
+            b.value[:] = rng.choice([-1, 1], b.value.size) * 10.0 ** rng.uniform(-6, 1, b.value.size)
+        with _blas.one_thread():  # both libraries, as a solve runs
+            for t in rng.uniform(-0.02, 1.34, 10_000):
+                g_out = rng.standard_normal(n_out)
+                out = net.forward(t)
+                net.backward(g_out)
+                h, inputs, derivs = np.array([t], np.float32), [], []
+                for i, (w, b) in enumerate(zip(ws, net.params[1::2])):
+                    inputs.append(h)
+                    z = sgemv(1.0, w.T, h, 1.0, b.value, trans=1)
+                    h, deriv = ad._elu(z.astype(np.float64) if i == len(ws) - 1 else z)
+                    derivs.append(deriv)
+                assert out.tobytes() == h.tobytes()
+                g = g_out
+                for i in reversed(range(len(ws))):
+                    g = (g * derivs[i]).astype(np.float32)
+                    (gw, x), gb = net.params[2 * i].grad, net.params[2 * i + 1].grad
+                    assert gw.tobytes() == gb.tobytes() == g.tobytes() and x.tobytes() == inputs[i].tobytes()
+                    g = sgemv(1.0, ws[i].T, g)
 
     def test_output_shape_and_determinism(self):
         net = ad.GeneratorNet(n_out=2193, seed=42)

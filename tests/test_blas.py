@@ -7,7 +7,7 @@ from wirepinn import _blas, oracle, pinn, surrogate
 # The generator's shapes (1-64-256-n_out on the canonical and the 17x8
 # device) and a bias's one-column moment.  numpy's and scipy's wheels may
 # bundle different OpenBLAS releases (numpy 2.4.6's 0.3.31, scipy
-# 1.17.1's 0.3.30), whose float32 gemv kernels round some narrower
+# 1.17.1's 0.3.30), whose float32 kernels round some narrower
 # matrices differently; these shapes agree.
 SHAPES = [(64, 1), (256, 64), (136, 256), (2193, 256), (256, 1)]
 DTYPES = [np.float32, np.float64]
@@ -102,23 +102,6 @@ def _backends():
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-def test_gemv_gives_scipys_bits(dtype):
-    rng = np.random.default_rng(1)
-    f = blas.get_blas_funcs("gemv", dtype=dtype)
-    for routines in _backends():
-        for rows, cols in SHAPES:
-            for _ in range(4):
-                a = rng.standard_normal((rows, cols)).astype(dtype)
-                x, b = rng.standard_normal(cols).astype(dtype), rng.standard_normal(rows).astype(dtype)
-                g = rng.standard_normal(rows).astype(dtype)
-                z, dx = b.copy(), np.zeros(cols, dtype)
-                routines.gemv_into(a, z)(x)
-                routines.gemv_into(a, dx, trans=True)(g)
-                assert z.tobytes() == f(1.0, a.T, x, 1.0, b, trans=1).tobytes()
-                assert dx.tobytes() == f(1.0, a.T, g).tobytes()
-
-
-@pytest.mark.parametrize("dtype", DTYPES)
 def test_ger_gives_scipys_bits(dtype):
     rng = np.random.default_rng(2)
     f = blas.get_blas_funcs("ger", dtype=dtype)
@@ -167,24 +150,6 @@ def _read_only(a):
 
 
 @pytest.mark.parametrize("case", [
-    "mixed dtypes", "integer matrix", "F-ordered matrix", "1-D matrix", "strided y", "read-only y",
-    "short y", "short x", "float64 x", "strided x"])
-def test_gemv_refuses(case):
-    f32 = np.float32
-    a, y, x = np.ones((4, 3), f32), np.zeros(4, f32), np.ones(3, f32)
-    bind = {"mixed dtypes": (a.astype(np.float64), y), "integer matrix": (a.astype(np.int64), y),
-            "F-ordered matrix": (np.asfortranarray(a), y), "1-D matrix": (np.ones(4, f32), y),
-            "strided y": (a, np.zeros(8, f32)[::2]), "read-only y": (a, _read_only(np.zeros(4, f32))),
-            "short y": (a, np.zeros(3, f32))}
-    call = {"short x": np.ones(2, f32), "float64 x": np.ones(3), "strided x": np.ones(6, f32)[::2]}
-    for routines in _backends():
-        with pytest.raises(ValueError):
-            update = routines.gemv_into(*bind.get(case, (a, y)))
-            update(call.get(case, x))
-        assert not y.any()  # nothing was written
-
-
-@pytest.mark.parametrize("case", [
     "F-ordered matrix", "1-D matrix", "read-only matrix", "integer matrix",
     "short x", "long y", "float64 y", "strided x"])
 def test_ger_refuses(case):
@@ -225,15 +190,17 @@ def _unaligned(n, writable):
 def test_unaligned_refused(writable):
     # a container array may start at any byte offset; ctypes' from_buffer
     # checks no alignment, so C must never see such an array
-    a, y = np.ones((4, 3)), np.zeros(4)
+    a, y = np.zeros((4, 3)), np.zeros(4)
     for routines in _backends():
+        m = _unaligned(12, writable).reshape(4, 3)
         with pytest.raises(ValueError, match="aligned"):
-            routines.gemv_into(_unaligned(12, writable).reshape(4, 3), y)(np.ones(3))
+            routines.ger_into(m)(1.0, np.ones(4), np.ones(3))
+        assert np.all(m == 1.0)
         with pytest.raises(ValueError, match="aligned"):
-            routines.gemv_into(a, y)(_unaligned(3, writable))
+            routines.ger_into(a)(1.0, np.ones(4), _unaligned(3, writable))
         with pytest.raises(ValueError, match="aligned"):
             routines.axpy_into(_unaligned(4, writable), y)(1.0)
-        assert not y.any()
+        assert not a.any() and not y.any()
     if writable:
         x = np.ones(4)
         for routines in _backends():

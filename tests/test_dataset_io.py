@@ -104,6 +104,17 @@ class TestSweepFiles:
             with pytest.raises(dio.FormatError, match="empty.wpnn: sweep holds no snapshots"):
                 read(tmp_path / "empty.wpnn")
 
+    def test_short_row_refused(self, tiny, tmp_path):
+        # the rows are written as they are, so one of the wrong length
+        # would leave a container whose header and bytes disagree
+        mesh, sweep = tiny
+        snaps = [Snapshot(v_gate=s.v_gate, phi=s.phi, n=s.n) for s in sweep.snapshots]
+        snaps[-1] = Snapshot(v_gate=snaps[-1].v_gate, phi=snaps[-1].phi[:-1], n=snaps[-1].n)
+        short = SweepDataset(snapshots=snaps, mesh_fingerprint=mesh.fingerprint(), params=sweep.params)
+        with pytest.raises(ValueError, match="one value per node"):
+            dio.write_sweep(short, mesh, tmp_path / "never.wpnn")
+        assert not (tmp_path / "never.wpnn").exists()
+
     def test_wrong_header_rejected(self, tiny, lr_surrogate, tmp_path):
         path = tmp_path / "x.txt"
         path.write_text("# wirepinn sweep v1\n")  # the text sweep of earlier releases
@@ -259,13 +270,14 @@ class TestContainerEncoding:
             assert back[name].shape == arr.shape and back[name].tobytes() == arr.tobytes()
 
     def test_write_sweep_holds_each_field_once(self, small_sweep, small_mesh, traced_peak, tmp_path):
-        # phi and n are stacked once and written from their own buffers:
-        # measured 1.07x their bytes on 17x8 (the rest is the file's write
-        # buffer, one stacking's list and the small arrays); the bound
-        # leaves 0.03x
+        # phi and n are written row by row from the snapshots' own
+        # buffers, never stacked: measured 0.063x their bytes on 17x8 (the
+        # file's 8 KiB write buffer, the lists of rows and the three small
+        # arrays), where stacking the rows first reads 1.07x; the bound
+        # leaves 0.017x
         field_bytes = 2 * len(small_sweep) * small_mesh.n_nodes * 8
         peak = traced_peak(lambda: dio.write_sweep(small_sweep, small_mesh, tmp_path / "sweep.wpnn"))
-        assert peak <= 1.1 * field_bytes
+        assert peak <= 0.08 * field_bytes
 
 
 class TestMappedReads:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from wirepinn import fermi, oracle
-from wirepinn.mesh import (CONTACT_SOURCE, DeviceConfig, assemble_fv_coefficients, build_device_mesh,
+from wirepinn.mesh import (CONTACT_SOURCE, OXIDE, DeviceConfig, assemble_fv_coefficients, build_device_mesh,
                            nearest_node, probe_node)
 from wirepinn.oracle import (
     ConvergenceError,
@@ -21,9 +22,13 @@ from wirepinn.oracle import (
 
 class TestSolveEquilibrium:
     def test_laplace_with_grounded_contacts_is_zero(self, params):
+        # no silicon, so no carriers; no doping, so no charge and a zero
+        # built-in potential grounds source and drain
         mesh = build_device_mesh(DeviceConfig(nx=33, ny=9))
+        mesh = dataclasses.replace(mesh, region=np.full(mesh.n_nodes, OXIDE, np.uint8),
+                                   net_doping=np.zeros(mesh.n_nodes))
         coeffs = assemble_fv_coefficients(mesh)
-        snap = solve_equilibrium(mesh, coeffs, params, 0.0, zero_charge=True)
+        snap = solve_equilibrium(mesh, coeffs, params, 0.0)
         assert np.max(np.abs(snap.phi)) <= 1e-12
         assert np.all(snap.n == 0.0)
 
